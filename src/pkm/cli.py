@@ -23,13 +23,21 @@ from .config import (
 )
 from .errors import PkmError
 from .geometry import Variant
-from .grids import fmt12, tilt_axes, write_map_csv
+from .grids import fmt12, tilt_axes
 from .jacobian import build_jacobian
 from .kinematics import inverse_kinematics
 from .parasitic import parasitic_map, solve_loop_closure
-from .stiffness import STIFFNESS_FIELDS, stiffness_map_rotational
-from .sweep import CompareSettings, condition_map, run_comparison, workspace_slice
-from .svg import emit_heatmap_svg
+from .stiffness import stiffness_map_rotational
+from .sweep import (
+    CompareSettings,
+    condition_map,
+    run_comparison,
+    workspace_slice,
+    write_condition_figures,
+    write_parasitic_figures,
+    write_stiffness_figures,
+    write_workspace_figures,
+)
 
 _UNITS_NOTE = "units: angles deg, lengths mm"
 
@@ -89,12 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stiffness-map", help="sweep the six diagonal stiffness measures")
     _add_common(p, True)
     _add_sweep(p)
-    p.add_argument(
-        "--space",
-        choices=["rotational", "parasitic"],
-        default="rotational",
-        help="emit the map keyed by tilt angles or by parasitic translation",
-    )
 
     p = sub.add_parser("compare", help="run the full paired comparison pipeline")
     _add_common(p, False)
@@ -179,47 +181,32 @@ def _cmd_jacobian(args) -> int:
     return 0
 
 
-def _axes_for(settings: SweepSettings):
-    return tilt_axes(settings.grid_n, settings.tilt_max_deg)
+def _map_inputs(args):
+    params, entries = _single_machine(args)
+    settings = _sweep_settings(args, entries)
+    return params, settings, *tilt_axes(settings.grid_n, settings.tilt_max_deg)
+
+
+def _out_dir(args) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _cmd_parasitic_map(args) -> int:
-    params, entries = _single_machine(args)
-    settings = _sweep_settings(args, entries)
-    psi_axis, theta_axis = _axes_for(settings)
+    params, settings, psi_axis, theta_axis = _map_inputs(args)
     fields = parasitic_map(params, psi_axis, theta_axis, settings.z_mm)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    label = params.variant.value
-    write_map_csv(out / f"{label}_parasitic.csv", fields, units_note=_UNITS_NOTE)
-    for name, tag in (("x_mm", "x"), ("y_mm", "y"), ("gamma_rad", "gamma")):
-        emit_heatmap_svg(
-            fields[name],
-            "coolwarm",
-            out / f"{label}_parasitic_{tag}.svg",
-            title=f"{label} parasitic {tag}",
-            value_label="mm" if tag != "gamma" else "rad",
-        )
+    out = _out_dir(args)
+    write_parasitic_figures(out, params.variant.value, fields, _UNITS_NOTE)
     print(f"wrote parasitic map ({settings.grid_n} x {settings.grid_n}) to {out}")
     return 0
 
 
 def _cmd_condition_map(args) -> int:
-    params, entries = _single_machine(args)
-    settings = _sweep_settings(args, entries)
-    psi_axis, theta_axis = _axes_for(settings)
+    params, settings, psi_axis, theta_axis = _map_inputs(args)
     grid = condition_map(params, psi_axis, theta_axis, settings.z_mm)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    label = params.variant.value
-    write_map_csv(out / f"{label}_condition.csv", {"kappa": grid}, units_note=_UNITS_NOTE)
-    emit_heatmap_svg(
-        grid,
-        "viridis",
-        out / f"{label}_condition.svg",
-        title=f"{label} condition number",
-        value_label="kappa",
-    )
+    out = _out_dir(args)
+    write_condition_figures(out, params.variant.value, grid, _UNITS_NOTE)
     valid = grid.valid_values()
     if valid.size:
         print(f"kappa range: {fmt12(valid.min())} .. {fmt12(valid.max())}")
@@ -228,56 +215,23 @@ def _cmd_condition_map(args) -> int:
 
 
 def _cmd_workspace(args) -> int:
-    params, entries = _single_machine(args)
-    settings = _sweep_settings(args, entries)
-    psi_axis, theta_axis = _axes_for(settings)
+    params, settings, psi_axis, theta_axis = _map_inputs(args)
     grid, area = workspace_slice(
         params, psi_axis, theta_axis, settings.z_mm, settings.kappa_min_inv
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     label = params.variant.value
-    write_map_csv(out / f"{label}_workspace.csv", {"inside": grid}, units_note=_UNITS_NOTE)
-    emit_heatmap_svg(
-        grid,
-        "viridis",
-        out / f"{label}_workspace.svg",
-        title=f"{label} workspace",
-        value_label="inside",
-    )
+    write_workspace_figures(out, f"{label}_workspace", f"{label} workspace", grid, _UNITS_NOTE)
     print(f"workspace area: {fmt12(area)} rad^2")
     print(f"wrote workspace slice to {out}")
     return 0
 
 
 def _cmd_stiffness_map(args) -> int:
-    params, entries = _single_machine(args)
-    settings = _sweep_settings(args, entries)
-    psi_axis, theta_axis = _axes_for(settings)
+    params, settings, psi_axis, theta_axis = _map_inputs(args)
     fields = stiffness_map_rotational(params, psi_axis, theta_axis, settings.z_mm)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    label = params.variant.value
-    if args.space == "rotational":
-        write_map_csv(
-            out / f"{label}_stiffness_rotational.csv", fields, units_note=_UNITS_NOTE
-        )
-    else:
-        # same cells, but rows are meant to be keyed by the parasitic
-        # translation columns rather than by the tilt angles
-        write_map_csv(
-            out / f"{label}_stiffness_parasitic.csv",
-            fields,
-            units_note=_UNITS_NOTE + "; rows keyed by (x_par_mm, y_par_mm)",
-        )
-    for name in STIFFNESS_FIELDS:
-        emit_heatmap_svg(
-            fields[name],
-            "viridis",
-            out / f"{label}_stiffness_{name}.svg",
-            title=f"{label} {name}",
-            value_label="N/mm" if name.startswith("kp") else "N*mm/rad",
-        )
+    out = _out_dir(args)
+    write_stiffness_figures(out, params.variant.value, fields, _UNITS_NOTE)
     print(f"wrote stiffness maps to {out}")
     return 0
 

@@ -51,3 +51,15 @@ class SingularStiffness(PkmError):
 
 class ConfigError(PkmError):
     """Malformed or inconsistent configuration input."""
+
+
+# failures that leave one grid cell empty instead of stopping a sweep
+CELL_ERRORS = (
+    NoConvergence,
+    CouplingSingular,
+    ConstraintViolation,
+    UnreachablePose,
+    SingularLimb,
+    SingularConfiguration,
+    RankDeficiency,
+)

@@ -76,8 +76,8 @@ class MechanismParams:
 
     link_length is the fixed strut length for the PRS head and the
     nominal (home) telescopic length for the RPS head.  Stroke limits are
-    absolute bounds on the actuated length; they default per variant and
-    are only enforced by workspace sweeps.
+    absolute bounds on the actuated length; they default per variant, must
+    leave a non-empty interval, and are only enforced by workspace sweeps.
     """
 
     variant: Variant
@@ -100,6 +100,9 @@ class MechanismParams:
             raise ValueError("link_length too short to close the home configuration")
         if len(self.azimuths) != 3:
             raise ValueError("exactly three limb azimuths required")
+        lo, hi = self.stroke_limits()
+        if not lo < hi:  # also rejects NaN bounds
+            raise ValueError(f"empty stroke interval [{lo}, {hi}]")
 
     def stroke_limits(self) -> tuple[float, float]:
         """Resolved (lo, hi) actuated-length bounds for this variant."""
@@ -111,8 +114,6 @@ class MechanismParams:
             lo = self.stroke_min
         if self.stroke_max is not None:
             hi = self.stroke_max
-        if lo >= hi:
-            raise ValueError(f"empty stroke interval [{lo}, {hi}]")
         return lo, hi
 
 

@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConstraintViolation,
-    CouplingSingular,
-    IntegrationDiverged,
-    NoConvergence,
-    UnreachablePose,
-)
+from .errors import CouplingSingular, IntegrationDiverged, NoConvergence
 from .geometry import (
     MechanismParams,
     Pose,
@@ -26,7 +20,7 @@ from .geometry import (
     orientation_from_tilts,
     pose_from_tilts,
 )
-from .grids import SweepGrid, grid_from_cells
+from .grids import SweepGrid
 from .kinematics import inverse_kinematics
 
 TILT_LIMIT = math.radians(60.0) + 1e-12
@@ -234,23 +228,7 @@ def parasitic_map(
     z: float | None = None,
 ) -> dict[str, SweepGrid]:
     """Parasitic displacement fields over a tilt grid, keyed by CSV column name."""
-    if z is None:
-        z = home_height(params)
-    shape = (len(psi_axis), len(theta_axis))
-    x = np.full(shape, np.nan)
-    y = np.full(shape, np.nan)
-    gamma = np.full(shape, np.nan)
-    for i, psi in enumerate(psi_axis):
-        for j, theta in enumerate(theta_axis):
-            try:
-                cp = solve_loop_closure(params, psi, theta, z, validate=False)
-            except (NoConvergence, CouplingSingular, ConstraintViolation, UnreachablePose):
-                continue
-            x[i, j] = cp.parasitic.x
-            y[i, j] = cp.parasitic.y
-            gamma[i, j] = cp.parasitic.gamma
-    return {
-        "x_mm": grid_from_cells(psi_axis, theta_axis, x),
-        "y_mm": grid_from_cells(psi_axis, theta_axis, y),
-        "gamma_rad": grid_from_cells(psi_axis, theta_axis, gamma),
-    }
+    from .sweep import _evaluate_grid  # sweep imports this module
+
+    fields = _evaluate_grid(params, psi_axis, theta_axis, z, offsets=())
+    return {name: fields[name] for name in ("x_mm", "y_mm", "gamma_rad")}

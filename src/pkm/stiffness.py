@@ -11,20 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConstraintViolation,
-    CouplingSingular,
-    NoConvergence,
-    SingularConfiguration,
-    SingularLimb,
-    SingularStiffness,
-    UnreachablePose,
-)
-from .geometry import MechanismParams, Pose, home_height
-from .grids import SweepGrid, grid_from_cells
+from .errors import SingularStiffness
+from .geometry import MechanismParams, Pose
+from .grids import SweepGrid
 from .jacobian import JacobianSet, build_jacobian
 from .kinematics import LimbState, inverse_kinematics, revolute_axis
-from .parasitic import solve_loop_closure
 
 STIFFNESS_FIELDS = ("kpx", "kpy", "kpz", "kax", "kay", "kaz")
 
@@ -130,16 +121,6 @@ def deflection_under_load(result: StiffnessResult, wrench: np.ndarray) -> Deflec
     return Deflection(platform=delta, joints=result.jacobian.G.T @ delta)
 
 
-_CELL_ERRORS = (
-    NoConvergence,
-    CouplingSingular,
-    ConstraintViolation,
-    UnreachablePose,
-    SingularLimb,
-    SingularConfiguration,
-)
-
-
 def stiffness_map_rotational(
     params: MechanismParams,
     psi_axis: np.ndarray,
@@ -148,23 +129,9 @@ def stiffness_map_rotational(
 ) -> dict[str, SweepGrid]:
     """Diagonal stiffness fields over the tilt grid, with the parasitic
     coordinates of every sample carried along for re-keying."""
-    if z is None:
-        z = home_height(params)
-    shape = (len(psi_axis), len(theta_axis))
-    cells = {name: np.full(shape, np.nan) for name in ("x_par_mm", "y_par_mm", *STIFFNESS_FIELDS)}
-    for i, psi in enumerate(psi_axis):
-        for j, theta in enumerate(theta_axis):
-            try:
-                cp = solve_loop_closure(params, psi, theta, z, validate=False)
-                states = inverse_kinematics(params, cp.pose)
-                result = assemble_stiffness(params, cp.pose, states)
-            except _CELL_ERRORS:
-                continue
-            cells["x_par_mm"][i, j] = cp.parasitic.x
-            cells["y_par_mm"][i, j] = cp.parasitic.y
-            for name in STIFFNESS_FIELDS:
-                cells[name][i, j] = getattr(result, name)
-    return {name: grid_from_cells(psi_axis, theta_axis, cells[name]) for name in cells}
+    from .sweep import _evaluate_grid, _stiffness_table  # sweep imports this module
+
+    return _stiffness_table(_evaluate_grid(params, psi_axis, theta_axis, z, stiffness=True))
 
 
 def stiffness_map_parasitic(
@@ -178,16 +145,18 @@ def stiffness_map_parasitic(
 
     The image of the tilt grid in the (x, y) parasitic plane is scattered,
     so samples are returned as (x_par, y_par, values) triples in grid
-    row-major order rather than resampled onto a rectangle.
+    row-major order rather than resampled onto a rectangle.  Cells without
+    stiffness values are left out, even where their parasitic shift solved.
     """
     if rotational is None:
         rotational = stiffness_map_rotational(params, psi_axis, theta_axis, z)
     x_grid = rotational["x_par_mm"]
     y_grid = rotational["y_par_mm"]
+    solved = rotational[STIFFNESS_FIELDS[0]].mask
     samples = []
     for i in range(len(x_grid.psi_axis)):
         for j in range(len(x_grid.theta_axis)):
-            if not x_grid.mask[i, j]:
+            if not solved[i, j]:
                 continue
             values = {name: float(rotational[name].values[i, j]) for name in STIFFNESS_FIELDS}
             samples.append((float(x_grid.values[i, j]), float(y_grid.values[i, j]), values))

@@ -1,8 +1,9 @@
-"""Grid sweeps and the full two-machine comparison pipeline.
+"""Grid sweeps, their CSV/SVG figure writers and the two-machine comparison.
 
-Every cell is an independent pure evaluation, so sweeps can be chunked
-across worker processes; results are assembled by grid index and the
-emitted files are byte-identical for any worker count.
+Every map and the comparison evaluate their tilt cells through one
+evaluator.  Each cell is an independent pure evaluation, so sweeps can be
+chunked across worker processes; results are assembled by grid index and
+the emitted files are byte-identical for any worker count.
 """
 from __future__ import annotations
 
@@ -14,38 +15,114 @@ from pathlib import Path
 import numpy as np
 
 from .config import SweepSettings
-from .errors import (
-    ConstraintViolation,
-    CouplingSingular,
-    NoConvergence,
-    RankDeficiency,
-    SingularConfiguration,
-    SingularLimb,
-    UnreachablePose,
-)
+from .errors import CELL_ERRORS
 from .geometry import MechanismParams, home_height, pose_from_tilts
 from .grids import SweepGrid, fmt12, grid_from_cells, tilt_axes, write_map_csv
 from .jacobian import build_jacobian
 from .kinematics import inverse_kinematics
-from .parasitic import parasitic_map, solve_loop_closure
-from .stiffness import STIFFNESS_FIELDS, assemble_stiffness, stiffness_map_rotational
+from .parasitic import solve_loop_closure
+from .stiffness import STIFFNESS_FIELDS, assemble_stiffness
 from .svg import emit_heatmap_svg
 
 DEFAULT_HEAVE_OFFSETS = (0.0, -50.0, -100.0)
 
-_CELL_ERRORS = (
-    NoConvergence,
-    CouplingSingular,
-    ConstraintViolation,
-    UnreachablePose,
-    SingularLimb,
-    SingularConfiguration,
-    RankDeficiency,
-)
-
 _UNITS_NOTE = (
     "units: angles deg, lengths mm; kpx,kpy,kpz N/mm; kax,kay,kaz N*mm/rad; kappa dimensionless"
 )
+
+
+# columns of a cell record, followed by one workspace flag per heave offset
+_RECORD = ("x_mm", "y_mm", "gamma_rad", "kappa", *STIFFNESS_FIELDS)
+
+
+def _evaluate_row(task) -> np.ndarray:
+    params, psi, theta_axis, z0, offsets, kappa_min_inv, stiffness = task
+    out = np.full((len(theta_axis), len(_RECORD) + len(offsets)), np.nan)
+    out[:, len(_RECORD) :] = 0.0
+    lo, hi = params.stroke_limits()
+    for j, theta in enumerate(theta_axis):
+        try:
+            cp = solve_loop_closure(params, psi, theta, z0, validate=False)
+        except CELL_ERRORS:
+            continue
+        shift = cp.parasitic
+        out[j, 0:3] = (shift.x, shift.y, shift.gamma)
+        for k, dz in enumerate(offsets):
+            # the parasitic triple does not depend on heave, reuse it
+            if dz == 0.0:
+                pose = cp.pose
+            else:
+                pose = pose_from_tilts(psi, theta, z0 + dz, shift.x, shift.y, shift.gamma)
+            try:
+                states = inverse_kinematics(params, pose)
+                jac = build_jacobian(params, pose, states)
+                if k == 0:
+                    out[j, 3] = jac.kappa
+                    if stiffness:
+                        result = assemble_stiffness(params, pose, states, jac)
+                        out[j, 4 : len(_RECORD)] = list(result.diagonal_measures().values())
+            except CELL_ERRORS:
+                continue
+            strokes_ok = all(lo <= st.actuated_length <= hi for st in states)
+            out[j, len(_RECORD) + k] = float(strokes_ok and 1.0 / jac.kappa >= kappa_min_inv)
+    return out
+
+
+def _evaluate_grid(
+    params: MechanismParams,
+    psi_axis: np.ndarray,
+    theta_axis: np.ndarray,
+    z0: float | None = None,
+    offsets: tuple[float, ...] = (0.0,),
+    kappa_min_inv: float = 0.05,
+    stiffness: bool = False,
+    workers: int = 1,
+) -> dict[str, SweepGrid]:
+    """Evaluate the per-cell chain closure -> IK -> Jacobian -> stiffness over a tilt grid.
+
+    The closure is solved once per cell at heave z0 (default: home height),
+    giving the fields x_mm, y_mm and gamma_rad.  For each heave offset, IK
+    and the Jacobian give inside_k: 1 where the strokes stay within their
+    limits and 1/kappa >= kappa_min_inv, else 0.  kappa, and with stiffness
+    the diagonal stiffness measures, are taken at the first offset; fields
+    of stages that were not run stay empty.  A cell whose stage raises one
+    of CELL_ERRORS stays empty from that stage on, so its parasitic fields
+    survive a later failure.
+    """
+    if z0 is None:
+        z0 = home_height(params)
+    tasks = [
+        (params, float(psi), theta_axis, z0, offsets, kappa_min_inv, stiffness)
+        for psi in psi_axis
+    ]
+    if workers > 1:
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(workers) as pool:
+            rows = pool.map(_evaluate_row, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
+    else:
+        rows = [_evaluate_row(task) for task in tasks]
+    stacked = np.stack(rows)
+    fields = {}
+    for n, name in enumerate([*_RECORD, *(f"inside_{k}" for k in range(len(offsets)))]):
+        values = stacked[:, :, n]
+        mask = np.ones_like(values, dtype=bool) if name.startswith("inside_") else None
+        fields[name] = grid_from_cells(psi_axis, theta_axis, values, mask)
+    return fields
+
+
+def _stiffness_table(fields: dict[str, SweepGrid]) -> dict[str, SweepGrid]:
+    """Stiffness CSV columns: the parasitic translation, then the six measures."""
+    return {
+        "x_par_mm": fields["x_mm"],
+        "y_par_mm": fields["y_mm"],
+        **{name: fields[name] for name in STIFFNESS_FIELDS},
+    }
+
+
+def _area(grid: SweepGrid) -> float:
+    psi, theta = grid.psi_axis, grid.theta_axis
+    cell = float(psi[1] - psi[0]) * float(theta[1] - theta[0])
+    return float(grid.values.sum()) * cell
 
 
 def condition_map(
@@ -55,31 +132,7 @@ def condition_map(
     z: float | None = None,
 ) -> SweepGrid:
     """Homogenized condition number at the compatible pose of every cell."""
-    if z is None:
-        z = home_height(params)
-    values = np.full((len(psi_axis), len(theta_axis)), np.nan)
-    for i, psi in enumerate(psi_axis):
-        for j, theta in enumerate(theta_axis):
-            try:
-                cp = solve_loop_closure(params, psi, theta, z, validate=False)
-                states = inverse_kinematics(params, cp.pose)
-                values[i, j] = build_jacobian(params, cp.pose, states).kappa
-            except _CELL_ERRORS:
-                continue
-    return grid_from_cells(psi_axis, theta_axis, values)
-
-
-def _cell_inside(params: MechanismParams, psi, theta, z, kappa_min_inv) -> bool:
-    try:
-        cp = solve_loop_closure(params, psi, theta, z, validate=False)
-        states = inverse_kinematics(params, cp.pose)
-        kappa = build_jacobian(params, cp.pose, states).kappa
-    except _CELL_ERRORS:
-        return False
-    lo, hi = params.stroke_limits()
-    if any(not (lo <= st.actuated_length <= hi) for st in states):
-        return False
-    return 1.0 / kappa >= kappa_min_inv
+    return _evaluate_grid(params, psi_axis, theta_axis, z)["kappa"]
 
 
 def workspace_slice(
@@ -95,87 +148,58 @@ def workspace_slice(
     limits and the conditioning clears 1/kappa >= kappa_min_inv.  The area
     is cell count times cell size, in rad^2.
     """
-    if z is None:
-        z = home_height(params)
-    inside = np.zeros((len(psi_axis), len(theta_axis)))
-    for i, psi in enumerate(psi_axis):
-        for j, theta in enumerate(theta_axis):
-            if _cell_inside(params, psi, theta, z, kappa_min_inv):
-                inside[i, j] = 1.0
-    cell = float(psi_axis[1] - psi_axis[0]) * float(theta_axis[1] - theta_axis[0])
-    grid = SweepGrid(
-        psi_axis=psi_axis, theta_axis=theta_axis, values=inside, mask=np.ones_like(inside, bool)
+    grid = _evaluate_grid(params, psi_axis, theta_axis, z, kappa_min_inv=kappa_min_inv)["inside_0"]
+    return grid, _area(grid)
+
+
+def write_parasitic_figures(out_dir: Path, label: str, fields, units_note=_UNITS_NOTE) -> None:
+    """{label}_parasitic.csv with x/y/gamma, and one coolwarm SVG per field."""
+    write_map_csv(
+        out_dir / f"{label}_parasitic.csv",
+        {name: fields[name] for name in ("x_mm", "y_mm", "gamma_rad")},
+        units_note=units_note,
     )
-    return grid, float(inside.sum()) * cell
+    for name, tag in (("x_mm", "x"), ("y_mm", "y"), ("gamma_rad", "gamma")):
+        emit_heatmap_svg(
+            fields[name],
+            "coolwarm",
+            out_dir / f"{label}_parasitic_{tag}.svg",
+            title=f"{label} parasitic {tag}",
+            value_label="mm" if tag != "gamma" else "rad",
+        )
 
 
-# compare bundles everything per cell so the closure is solved only once;
-# field order of the flat per-cell record:
-_REC_FIELDS = (
-    "x_mm",
-    "y_mm",
-    "gamma_rad",
-    "kappa",
-    *STIFFNESS_FIELDS,
-    "inside_0",
-    "inside_1",
-    "inside_2",
-)
-_NREC = len(_REC_FIELDS)
+def write_condition_figures(out_dir: Path, label: str, grid, units_note=_UNITS_NOTE) -> None:
+    """{label}_condition.csv and .svg of the kappa field."""
+    write_map_csv(out_dir / f"{label}_condition.csv", {"kappa": grid}, units_note=units_note)
+    emit_heatmap_svg(
+        grid,
+        "viridis",
+        out_dir / f"{label}_condition.svg",
+        title=f"{label} condition number",
+        value_label="kappa",
+    )
 
 
-def _compare_row(task) -> np.ndarray:
-    params, psi, theta_axis, z0, offsets, kappa_min_inv = task
-    out = np.full((len(theta_axis), _NREC), np.nan)
-    out[:, -3:] = 0.0
-    lo, hi = params.stroke_limits()
-    for j, theta in enumerate(theta_axis):
-        try:
-            cp = solve_loop_closure(params, psi, theta, z0, validate=False)
-        except _CELL_ERRORS:
-            continue
-        shift = cp.parasitic
-        out[j, 0:3] = (shift.x, shift.y, shift.gamma)
-        for k, dz in enumerate(offsets):
-            # the parasitic triple does not depend on heave, reuse it
-            pose = pose_from_tilts(psi, theta, z0 + dz, shift.x, shift.y, shift.gamma)
-            try:
-                states = inverse_kinematics(params, pose)
-                jac = build_jacobian(params, pose, states)
-            except _CELL_ERRORS:
-                continue
-            strokes_ok = all(lo <= st.actuated_length <= hi for st in states)
-            out[j, _NREC - 3 + k] = float(strokes_ok and 1.0 / jac.kappa >= kappa_min_inv)
-            if k == 0:
-                out[j, 3] = jac.kappa
-                result = assemble_stiffness(params, pose, states, jac)
-                for n, name in enumerate(STIFFNESS_FIELDS):
-                    out[j, 4 + n] = getattr(result, name)
-    return out
+def write_workspace_figures(
+    out_dir: Path, stem: str, title: str, grid, units_note=_UNITS_NOTE
+) -> None:
+    """{stem}.csv and .svg of one workspace slice."""
+    write_map_csv(out_dir / f"{stem}.csv", {"inside": grid}, units_note=units_note)
+    emit_heatmap_svg(grid, "viridis", out_dir / f"{stem}.svg", title=title, value_label="inside")
 
 
-def _machine_fields(params, psi_axis, theta_axis, z0, offsets, kappa_min_inv, workers):
-    tasks = [
-        (params, float(psi), theta_axis, z0, offsets, kappa_min_inv) for psi in psi_axis
-    ]
-    if workers > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            rows = pool.map(_compare_row, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
-    else:
-        rows = [_compare_row(task) for task in tasks]
-    stacked = np.stack(rows)
-    fields = {}
-    for n, name in enumerate(_REC_FIELDS):
-        values = stacked[:, :, n]
-        if name.startswith("inside_"):
-            mask = np.ones_like(values, dtype=bool)
-            fields[name] = SweepGrid(
-                psi_axis=psi_axis, theta_axis=theta_axis, values=values, mask=mask
-            )
-        else:
-            fields[name] = grid_from_cells(psi_axis, theta_axis, values)
-    return fields
+def write_stiffness_figures(out_dir: Path, label: str, table, units_note=_UNITS_NOTE) -> None:
+    """{label}_stiffness_rotational.csv of a stiffness table and one SVG per measure."""
+    write_map_csv(out_dir / f"{label}_stiffness_rotational.csv", table, units_note=units_note)
+    for name in STIFFNESS_FIELDS:
+        emit_heatmap_svg(
+            table[name],
+            "viridis",
+            out_dir / f"{label}_stiffness_{name}.svg",
+            title=f"{label} {name}",
+            value_label="N/mm" if name.startswith("kp") else "N*mm/rad",
+        )
 
 
 @dataclass(frozen=True)
@@ -266,94 +290,50 @@ def run_comparison(settings: CompareSettings) -> ComparisonReport:
     a3 = settings.params_a3
     z0 = sweep.z_mm if sweep.z_mm is not None else home_height(z3)
     psi_axis, theta_axis = tilt_axes(sweep.grid_n, sweep.tilt_max_deg)
-    cell = float(psi_axis[1] - psi_axis[0]) * float(theta_axis[1] - theta_axis[0])
 
-    fields_by_machine = {}
-    for label, params in (("z3", z3), ("a3", a3)):
-        fields_by_machine[label] = _machine_fields(
+    fields_by_machine = {
+        label: _evaluate_grid(
             params,
             psi_axis,
             theta_axis,
             z0,
             settings.heave_offsets,
             sweep.kappa_min_inv,
-            settings.workers,
+            stiffness=True,
+            workers=settings.workers,
         )
+        for label, params in (("z3", z3), ("a3", a3))
+    }
 
     metrics: dict = {}
     areas: dict = {}
     for label, fields in fields_by_machine.items():
-        write_map_csv(
-            out_dir / f"{label}_parasitic.csv",
-            {name: fields[name] for name in ("x_mm", "y_mm", "gamma_rad")},
-            units_note=_UNITS_NOTE,
-        )
-        for name, tag in (("x_mm", "x"), ("y_mm", "y"), ("gamma_rad", "gamma")):
-            emit_heatmap_svg(
-                fields[name],
-                "coolwarm",
-                out_dir / f"{label}_parasitic_{tag}.svg",
-                title=f"{label} parasitic {tag}",
-                value_label="mm" if tag != "gamma" else "rad",
-            )
-        write_map_csv(
-            out_dir / f"{label}_condition.csv",
-            {"kappa": fields["kappa"]},
-            units_note=_UNITS_NOTE,
-        )
-        emit_heatmap_svg(
-            fields["kappa"],
-            "viridis",
-            out_dir / f"{label}_condition.svg",
-            title=f"{label} condition number",
-            value_label="kappa",
-        )
+        write_parasitic_figures(out_dir, label, fields)
+        write_condition_figures(out_dir, label, fields["kappa"])
         for k, dz in enumerate(settings.heave_offsets):
             grid = fields[f"inside_{k}"]
-            write_map_csv(
-                out_dir / f"{label}_workspace_dz{fmt12(dz)}.csv",
-                {"inside": grid},
-                units_note=_UNITS_NOTE,
-            )
-            emit_heatmap_svg(
+            write_workspace_figures(
+                out_dir,
+                f"{label}_workspace_dz{fmt12(dz)}",
+                f"{label} workspace at z0{fmt12(dz) if dz < 0 else '+' + fmt12(dz)}",
                 grid,
-                "viridis",
-                out_dir / f"{label}_workspace_dz{fmt12(dz)}.svg",
-                title=f"{label} workspace at z0{fmt12(dz) if dz < 0 else '+' + fmt12(dz)}",
-                value_label="inside",
             )
-            areas.setdefault(label, []).append(float(grid.values.sum()) * cell)
-        stiffness_fields = {
-            "x_par_mm": fields["x_mm"],
-            "y_par_mm": fields["y_mm"],
-            **{name: fields[name] for name in STIFFNESS_FIELDS},
-        }
-        write_map_csv(
-            out_dir / f"{label}_stiffness_rotational.csv",
-            stiffness_fields,
-            units_note=_UNITS_NOTE,
-        )
+            area = _area(grid)
+            areas.setdefault(label, []).append(area)
+            metrics.setdefault(f"workspace_area_dz{fmt12(dz)}", {})[label] = {
+                "min": area,
+                "max": area,
+                "mean": area,
+            }
+        table = _stiffness_table(fields)
+        write_stiffness_figures(out_dir, label, table)
         write_map_csv(
             out_dir / f"{label}_stiffness_parasitic.csv",
-            stiffness_fields,
+            table,
             units_note=_UNITS_NOTE + "; rows keyed by (x_par_mm, y_par_mm)",
         )
-        for name in STIFFNESS_FIELDS:
-            emit_heatmap_svg(
-                fields[name],
-                "viridis",
-                out_dir / f"{label}_stiffness_{name}.svg",
-                title=f"{label} {name}",
-                value_label="N/mm" if name.startswith("kp") else "N*mm/rad",
-            )
         for name in ("x_mm", "y_mm", "gamma_rad", "kappa", *STIFFNESS_FIELDS):
             metrics.setdefault(name, {})[label] = _stats(fields[name])
-        for k, dz in enumerate(settings.heave_offsets):
-            metrics.setdefault(f"workspace_area_dz{fmt12(dz)}", {})[label] = {
-                "min": areas[label][k],
-                "max": areas[label][k],
-                "mean": areas[label][k],
-            }
 
     flags = _verdict_flags(fields_by_machine, areas, psi_axis, theta_axis)
     report = ComparisonReport(
@@ -412,8 +392,10 @@ __all__ = [
     "ComparisonReport",
     "DEFAULT_HEAVE_OFFSETS",
     "condition_map",
-    "parasitic_map",
     "run_comparison",
-    "stiffness_map_rotational",
     "workspace_slice",
+    "write_condition_figures",
+    "write_parasitic_figures",
+    "write_stiffness_figures",
+    "write_workspace_figures",
 ]

@@ -10,7 +10,7 @@ from pkm.config import (
     sweep_settings_from_config,
 )
 from pkm.errors import ConfigError
-from pkm.geometry import Variant
+from pkm.geometry import Variant, default_params, home_height
 from pkm.grids import read_map_csv
 
 
@@ -125,6 +125,27 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["ik"],
+        ["jacobian"],
+        ["parasitic-map", "--grid", "3"],
+        ["condition-map", "--grid", "3"],
+        ["workspace", "--grid", "3"],
+        ["stiffness-map", "--grid", "3"],
+        ["compare", "--grid", "3"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_cli_empty_stroke_interval_is_config_error(tmp_path, capsys, command):
+    config = tmp_path / "strokes.cfg"
+    config.write_text("variant = z3\nstroke_min_mm = 10\nstroke_max_mm = 5\n", encoding="utf-8")
+    out = [] if command[0] in ("ik", "jacobian") else ["--out", str(tmp_path / "out")]
+    assert main([*command, "--config", str(config), *out]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_exit_code_tilt_bounds(capsys):
     assert main(["ik", "--machine", "a3", "--psi-deg", "75"]) == 2
     assert "60 degrees" in capsys.readouterr().err
@@ -188,23 +209,6 @@ def test_cli_stiffness_map_spaces(tmp_path, capsys):
     assert header[:4] == ["psi_deg", "theta_deg", "x_par_mm", "y_par_mm"]
     assert "kaz" in header
     assert (out / "a3_stiffness_kpx.svg").exists()
-    assert main(
-        [
-            "stiffness-map",
-            "--machine",
-            "a3",
-            "--grid",
-            "3",
-            "--tilt-max-deg",
-            "10",
-            "--space",
-            "parasitic",
-            "--out",
-            str(out),
-        ]
-    ) == 0
-    capsys.readouterr()
-    assert (out / "a3_stiffness_parasitic.csv").exists()
 
 
 def test_cli_compare_smoke(tmp_path, capsys):
@@ -222,3 +226,27 @@ def test_cli_version(capsys):
         main(["--version"])
     assert excinfo.value.code == 0
     assert "pkm" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("machine", ["z3", "a3"])
+def test_cli_maps_match_compare_bundle(tmp_path, capsys, machine):
+    grid = ["--grid", "5", "--tilt-max-deg", "40"]
+    bundle = tmp_path / "bundle"
+    assert main(["compare", *grid, "--out", str(bundle)]) == 0
+    z_low = home_height(default_params(Variant(machine))) - 50.0
+    pairs = {
+        ("parasitic-map",): ("parasitic", "parasitic"),
+        ("condition-map",): ("condition", "condition"),
+        ("stiffness-map",): ("stiffness_rotational", "stiffness_rotational"),
+        ("workspace", "--z", repr(z_low)): ("workspace", "workspace_dz-50"),
+    }
+    for command, (cli_name, bundle_name) in pairs.items():
+        out = tmp_path / command[0]
+        assert main([*command, "--machine", machine, *grid, "--out", str(out)]) == 0
+        cli_lines = (out / f"{machine}_{cli_name}.csv").read_text(encoding="utf-8").splitlines()
+        bundle_file = bundle / f"{machine}_{bundle_name}.csv"
+        bundle_lines = bundle_file.read_text(encoding="utf-8").splitlines()
+        # only the '#' units line may differ
+        assert cli_lines[0].startswith("#") and bundle_lines[0].startswith("#")
+        assert cli_lines[1:] == bundle_lines[1:]
+    capsys.readouterr()

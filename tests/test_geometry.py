@@ -126,6 +126,12 @@ def test_stroke_limits_per_variant(z3_params, a3_params):
         MechanismParams(variant=Variant.Z3_PRS, stroke_min=5.0, stroke_max=-5.0).stroke_limits()
 
 
+def test_params_reject_empty_or_nan_stroke_interval():
+    for lo, hi in ((10.0, 5.0), (5.0, 5.0), (math.nan, 5.0), (-5.0, math.nan)):
+        with pytest.raises(ValueError, match="empty stroke interval"):
+            MechanismParams(variant=Variant.Z3_PRS, stroke_min=lo, stroke_max=hi)
+
+
 def test_stiffness_coeffs_validation():
     with pytest.raises(ValueError):
         StiffnessCoeffs(k_carriage=0.0)

@@ -4,9 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from pkm import sweep
 from pkm.config import SweepSettings
+from pkm.errors import CELL_ERRORS
 from pkm.geometry import MechanismParams, Variant, default_params, home_height
-from pkm.grids import tilt_axes
+from pkm.grids import read_map_csv, tilt_axes
+from pkm.parasitic import parasitic_map
+from pkm.stiffness import STIFFNESS_FIELDS, stiffness_map_rotational
 from pkm.sweep import (
     CompareSettings,
     DEFAULT_HEAVE_OFFSETS,
@@ -157,3 +161,66 @@ def test_comparison_worker_count_does_not_change_bytes(tmp_path):
     names = sorted(p.name for p in serial.iterdir())
     match, mismatch, errors = filecmp.cmpfiles(serial, forked, names, shallow=False)
     assert mismatch == [] and errors == []
+
+
+@pytest.mark.parametrize("error", CELL_ERRORS, ids=lambda error: error.__name__)
+def test_failing_stage_empties_only_its_cell(monkeypatch, tmp_path, z3_params, error):
+    psi_axis, theta_axis = tilt_axes(5, 30.0)
+    broken = (1, 3)
+    reference_inside, _ = workspace_slice(z3_params, psi_axis, theta_axis)
+    real_build_jacobian = sweep.build_jacobian
+
+    def build_jacobian(params, pose, states=None):
+        R = pose.R
+        if math.isclose(math.atan2(R[2, 1], R[2, 2]), psi_axis[broken[0]]) and math.isclose(
+            -math.asin(R[2, 0]), theta_axis[broken[1]]
+        ):
+            raise error("injected")
+        return real_build_jacobian(params, pose, states)
+
+    monkeypatch.setattr(sweep, "build_jacobian", build_jacobian)
+    only_broken = np.zeros((5, 5), dtype=bool)
+    only_broken[broken] = True
+
+    assert all(grid.mask.all() for grid in parasitic_map(z3_params, psi_axis, theta_axis).values())
+    assert np.array_equal(condition_map(z3_params, psi_axis, theta_axis).mask, ~only_broken)
+    inside, _ = workspace_slice(z3_params, psi_axis, theta_axis)
+    assert reference_inside.values[broken] == 1.0
+    assert np.array_equal(inside.values, np.where(only_broken, 0.0, reference_inside.values))
+    fields = stiffness_map_rotational(z3_params, psi_axis, theta_axis)
+    assert fields["x_par_mm"].mask.all() and fields["y_par_mm"].mask.all()
+    for name in STIFFNESS_FIELDS:
+        assert np.array_equal(fields[name].mask, ~only_broken)
+
+    out = tmp_path / "bundle"
+    run_comparison(
+        CompareSettings(
+            params_z3=z3_params,
+            params_a3=default_params(Variant.A3_RPS),
+            out_dir=out,
+            sweep=SweepSettings(grid_n=5, tilt_max_deg=30.0),
+        )
+    )
+    row = broken[0] * 5 + broken[1]
+    # columns before the first one the failing stage feeds stay filled
+    for label in ("z3", "a3"):
+        for name, first_late in (("parasitic", 5), ("condition", 2), ("stiffness_rotational", 4)):
+            _, rows = read_map_csv(out / f"{label}_{name}.csv")
+            for n, r in enumerate(rows):
+                assert None not in r[:first_late]
+                assert all((v is None) == (n == row) for v in r[first_late:])
+        for dz in ("0", "-50", "-100"):
+            _, rows = read_map_csv(out / f"{label}_workspace_dz{dz}.csv")
+            assert rows[row][2] == 0.0
+
+
+def test_stiffness_map_keeps_parasitics_where_closure_solved():
+    short = MechanismParams(variant=Variant.Z3_PRS, link_length=105.0)
+    psi_axis, theta_axis = tilt_axes(5, 30.0)
+    parasitic = parasitic_map(short, psi_axis, theta_axis)
+    fields = stiffness_map_rotational(short, psi_axis, theta_axis)
+    assert parasitic["x_mm"].mask.all()
+    assert not fields["kpx"].mask.all()
+    for name, key in (("x_par_mm", "x_mm"), ("y_par_mm", "y_mm")):
+        assert np.array_equal(fields[name].mask, parasitic[key].mask)
+        assert np.array_equal(fields[name].values, parasitic[key].values)
