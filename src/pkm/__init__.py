@@ -37,7 +37,6 @@ from .geometry import (
     StiffnessCoeffs,
     TaskRate,
     Variant,
-    Wrench,
     default_params,
     home_height,
     home_pose,
@@ -117,7 +116,6 @@ __all__ = [
     "TaskRate",
     "UnreachablePose",
     "Variant",
-    "Wrench",
     "assemble_stiffness",
     "build_jacobian",
     "condition_map",

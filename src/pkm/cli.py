@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration problems, 3 numerical failures
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -42,13 +43,8 @@ from .sweep import (
 _UNITS_NOTE = "units: angles deg, lengths mm"
 
 
-def _add_common(parser: argparse.ArgumentParser, machine_required: bool) -> None:
-    parser.add_argument(
-        "--machine",
-        choices=[v.value for v in Variant],
-        required=False,
-        help="machine selection" + ("" if machine_required else " (ignored: both machines run)"),
-    )
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--machine", choices=[v.value for v in Variant], help="machine selection")
     parser.add_argument("--config", type=Path, help="key=value config file")
 
 
@@ -74,32 +70,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ik", help="solve the compatible pose and actuator coordinates")
-    _add_common(p, True)
+    _add_common(p)
     _add_pose(p)
 
     p = sub.add_parser("jacobian", help="print the constraint-embedded Jacobian and conditioning")
-    _add_common(p, True)
+    _add_common(p)
     _add_pose(p)
 
     p = sub.add_parser("parasitic-map", help="sweep the parasitic shift over a tilt grid")
-    _add_common(p, True)
+    _add_common(p)
     _add_sweep(p)
 
     p = sub.add_parser("condition-map", help="sweep the homogenized condition number")
-    _add_common(p, True)
+    _add_common(p)
     _add_sweep(p)
 
     p = sub.add_parser("workspace", help="orientation workspace slice with stroke and conditioning limits")
-    _add_common(p, True)
+    _add_common(p)
     _add_sweep(p)
     p.add_argument("--kappa-min-inv", type=float, default=None, help="1/kappa admission threshold")
 
     p = sub.add_parser("stiffness-map", help="sweep the six diagonal stiffness measures")
-    _add_common(p, True)
+    _add_common(p)
     _add_sweep(p)
 
     p = sub.add_parser("compare", help="run the full paired comparison pipeline")
-    _add_common(p, False)
+    p.add_argument("--config", type=Path, help="key=value config file")
     _add_sweep(p)
     p.add_argument("--kappa-min-inv", type=float, default=None, help="1/kappa admission threshold")
     p.add_argument("--workers", type=int, default=1, help="row-level worker processes")
@@ -115,24 +111,14 @@ def _load_entries(args) -> dict:
 
 
 def _sweep_settings(args, entries) -> SweepSettings:
-    settings = sweep_settings_from_config(entries)
-    updates = {}
-    if getattr(args, "grid", None) is not None:
-        updates["grid_n"] = args.grid
-    if getattr(args, "tilt_max_deg", None) is not None:
-        updates["tilt_max_deg"] = args.tilt_max_deg
-    if getattr(args, "z", None) is not None:
-        updates["z_mm"] = args.z
-    if getattr(args, "kappa_min_inv", None) is not None:
-        updates["kappa_min_inv"] = args.kappa_min_inv
-    if not updates:
-        return settings
-    return SweepSettings(
-        grid_n=updates.get("grid_n", settings.grid_n),
-        tilt_max_deg=updates.get("tilt_max_deg", settings.tilt_max_deg),
-        z_mm=updates.get("z_mm", settings.z_mm),
-        kappa_min_inv=updates.get("kappa_min_inv", settings.kappa_min_inv),
-    )
+    flags = {
+        "grid_n": args.grid,
+        "tilt_max_deg": args.tilt_max_deg,
+        "z_mm": args.z,
+        "kappa_min_inv": getattr(args, "kappa_min_inv", None),
+    }
+    overrides = {name: value for name, value in flags.items() if value is not None}
+    return dataclasses.replace(sweep_settings_from_config(entries), **overrides)
 
 
 def _single_machine(args):

@@ -11,24 +11,20 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .geometry import MechanismParams, StiffnessCoeffs, Variant
 
-_FLOAT_KEYS = {
-    "r_base_mm",
-    "r_platform_mm",
-    "link_length_mm",
-    "k_carriage",
-    "k_revolute",
-    "k_limb_body",
-    "k_sx",
-    "k_sy",
-    "k_sz",
-    "stroke_min_mm",
-    "stroke_max_mm",
-    "tilt_max_deg",
-    "z_mm",
-    "kappa_min_inv",
+# config key -> dataclass field, one table per dataclass the keys feed
+_PARAMS_FIELDS = {
+    "r_base_mm": "r_base",
+    "r_platform_mm": "r_platform",
+    "link_length_mm": "link_length",
+    "stroke_min_mm": "stroke_min",
+    "stroke_max_mm": "stroke_max",
 }
+_STIFFNESS_FIELDS = {
+    name: name for name in ("k_carriage", "k_revolute", "k_limb_body", "k_sx", "k_sy", "k_sz")
+}
+_SWEEP_FIELDS = {name: name for name in ("grid_n", "tilt_max_deg", "z_mm", "kappa_min_inv")}
 _INT_KEYS = {"grid_n"}
-_KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | {"variant"}
+_KNOWN_KEYS = {"variant", *_PARAMS_FIELDS, *_STIFFNESS_FIELDS, *_SWEEP_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -98,6 +94,11 @@ def _typed(entries: dict[str, tuple[str, int]]) -> dict[str, object]:
     return typed
 
 
+def _fields(typed: dict[str, object], table: dict[str, str]) -> dict[str, object]:
+    """The dataclass fields the config sets; the rest keep their defaults."""
+    return {field: typed[key] for key, field in table.items() if key in typed}
+
+
 def params_from_config(
     entries: dict[str, tuple[str, int]], variant: Variant | None = None
 ) -> MechanismParams:
@@ -108,36 +109,18 @@ def params_from_config(
     chosen = variant or typed.get("variant")
     if chosen is None:
         raise ConfigError("no machine selected: pass --machine or set 'variant' in the config")
-    stiffness = StiffnessCoeffs(
-        k_carriage=typed.get("k_carriage", 1.0e6),
-        k_revolute=typed.get("k_revolute", 1.0e6),
-        k_limb_body=typed.get("k_limb_body", 1.0e6),
-        k_sx=typed.get("k_sx", 1.0e6),
-        k_sy=typed.get("k_sy", 1.0e6),
-        k_sz=typed.get("k_sz", 1.0e6),
-    )
     try:
         return MechanismParams(
             variant=chosen,
-            r_base=typed.get("r_base_mm", 350.0),
-            r_platform=typed.get("r_platform_mm", 250.0),
-            link_length=typed.get("link_length_mm", 642.3),
-            stiffness=stiffness,
-            stroke_min=typed.get("stroke_min_mm"),
-            stroke_max=typed.get("stroke_max_mm"),
+            stiffness=StiffnessCoeffs(**_fields(typed, _STIFFNESS_FIELDS)),
+            **_fields(typed, _PARAMS_FIELDS),
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
 
 
 def sweep_settings_from_config(entries: dict[str, tuple[str, int]]) -> SweepSettings:
-    typed = _typed(entries)
-    return SweepSettings(
-        grid_n=typed.get("grid_n", 121),
-        tilt_max_deg=typed.get("tilt_max_deg", 40.0),
-        z_mm=typed.get("z_mm"),
-        kappa_min_inv=typed.get("kappa_min_inv", 0.05),
-    )
+    return SweepSettings(**_fields(_typed(entries), _SWEEP_FIELDS))
 
 
 def default_config_text() -> str:

@@ -191,25 +191,6 @@ class TaskRate:
         return cls(v=xdot[:3], w=xdot[3:])
 
 
-@dataclass(frozen=True, eq=False)
-class Wrench:
-    """Line force direction and its moment about the platform centre."""
-
-    f_dir: np.ndarray
-    m: np.ndarray
-
-    def __post_init__(self):
-        f = _readonly(self.f_dir)
-        m = _readonly(self.m)
-        if f.shape != (3,) or m.shape != (3,):
-            raise ValueError("Wrench needs two 3-vectors")
-        object.__setattr__(self, "f_dir", f)
-        object.__setattr__(self, "m", m)
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.f_dir, self.m])
-
-
 def platform_attachment(params: MechanismParams, R: np.ndarray, limb: int) -> np.ndarray:
     """Vector from the platform centre to the limb's spherical joint, world frame."""
     xi = limb_azimuth(params, limb)

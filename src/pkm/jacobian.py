@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficiency, SingularConfiguration, SingularLimb
-from .geometry import MechanismParams, Pose, TaskRate, Wrench, platform_attachment
+from .geometry import MechanismParams, Pose, TaskRate, platform_attachment
 from .kinematics import LimbState, actuated_axis, inverse_kinematics, revolute_axis
 
 MOMENT_CONVENTION = "moment = attachment x direction, about platform centre"
@@ -34,8 +34,9 @@ class JacobianSet:
     moment_convention: str = MOMENT_CONVENTION
 
 
-def _line_wrench(direction: np.ndarray, attachment: np.ndarray) -> Wrench:
-    return Wrench(f_dir=direction, m=np.cross(attachment, direction))
+def _line_wrench(direction: np.ndarray, attachment: np.ndarray) -> np.ndarray:
+    """Plucker 6-vector (direction, moment) of a line through the attachment."""
+    return np.concatenate([direction, np.cross(attachment, direction)])
 
 
 def build_jacobian(
@@ -53,8 +54,8 @@ def build_jacobian(
             raise SingularLimb(
                 f"limb {limb}: link orthogonal to its actuated axis ({divisor:.3g})"
             )
-        active = _line_wrench(state.l1, attachment).as_vector() / divisor
-        constraint = _line_wrench(revolute_axis(params, state), attachment).as_vector()
+        active = _line_wrench(state.l1, attachment) / divisor
+        constraint = _line_wrench(revolute_axis(params, state), attachment)
         active_cols.append(active)
         constraint_cols.append(constraint)
     Ga = np.column_stack(active_cols)

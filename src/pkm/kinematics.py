@@ -49,13 +49,18 @@ class LimbState:
     R_spherical: np.ndarray
 
 
+def _limb_joint(params: MechanismParams, pose: Pose, limb: int) -> tuple[np.ndarray, np.ndarray]:
+    """World spherical-joint point and its limb-frame coordinates g."""
+    xi = limb_azimuth(params, limb)
+    joint = pose.p + platform_attachment(params, pose.R, limb)
+    g = rot_z(xi).T @ joint
+    g[0] -= params.r_base
+    return joint, g
+
+
 def limb_frame_coords(params: MechanismParams, pose: Pose, limb: int) -> np.ndarray:
     """Spherical-joint position in the limb frame, relative to the base anchor."""
-    xi = limb_azimuth(params, limb)
-    attachment = platform_attachment(params, pose.R, limb)
-    g = rot_z(xi).T @ (pose.p + attachment)
-    g[0] -= params.r_base
-    return g
+    return _limb_joint(params, pose, limb)[1]
 
 
 def _tangent(xi: float) -> np.ndarray:
@@ -70,65 +75,6 @@ def _distal_rotation(params: MechanismParams, l1: np.ndarray, limb: int) -> np.n
     return rot_z(xi) @ rot_y(theta2)
 
 
-def _ik_z3(params: MechanismParams, pose: Pose, constraint_tol: float) -> list[LimbState]:
-    states = []
-    for limb in (1, 2, 3):
-        g = limb_frame_coords(params, pose, limb)
-        disc = params.link_length**2 - g[0] ** 2 - g[1] ** 2
-        if disc < 0.0:
-            raise UnreachablePose(
-                f"limb {limb}: strut cannot span radial offset {g[0]:.6g} mm"
-            )
-        if abs(g[1]) > constraint_tol:
-            raise ConstraintViolation(
-                f"limb {limb}: tangential residual {g[1]:.6g} mm exceeds {constraint_tol:g}"
-            )
-        d = g[2] - math.sqrt(disc)
-        anchor = base_anchor(params, limb)
-        attachment = platform_attachment(params, pose.R, limb)
-        l1 = pose.p + attachment - anchor - d * Z_AXIS
-        states.append(
-            LimbState(
-                anchor=anchor,
-                g=g,
-                l1=l1,
-                actuated_length=d,
-                s1_par=Z_AXIS,
-                s2_par=_tangent(limb_azimuth(params, limb)),
-                R_spherical=_distal_rotation(params, l1, limb),
-            )
-        )
-    return states
-
-
-def _ik_a3(params: MechanismParams, pose: Pose, constraint_tol: float) -> list[LimbState]:
-    states = []
-    for limb in (1, 2, 3):
-        g = limb_frame_coords(params, pose, limb)
-        if abs(g[1]) > constraint_tol:
-            raise ConstraintViolation(
-                f"limb {limb}: tangential residual {g[1]:.6g} mm exceeds {constraint_tol:g}"
-            )
-        length = math.hypot(g[0], g[2])
-        if length < 1e-9:
-            raise UnreachablePose(f"limb {limb}: joint coincides with the base hinge")
-        anchor = base_anchor(params, limb)
-        attachment = platform_attachment(params, pose.R, limb)
-        l1 = pose.p + attachment - anchor
-        states.append(
-            LimbState(
-                anchor=anchor,
-                g=g,
-                l1=l1,
-                actuated_length=length,
-                s1_par=_tangent(limb_azimuth(params, limb)),
-                s2_par=l1 / np.linalg.norm(l1),
-                R_spherical=_distal_rotation(params, l1, limb),
-            )
-        )
-    return states
-
-
 def inverse_kinematics(
     params: MechanismParams, pose: Pose, constraint_tol: float = CONSTRAINT_TOL
 ) -> list[LimbState]:
@@ -136,11 +82,50 @@ def inverse_kinematics(
 
     Raises UnreachablePose when a limb cannot close and ConstraintViolation
     when the pose leaves a spherical joint off its limb plane by more than
-    constraint_tol (millimetres).
+    constraint_tol (millimetres).  The two heads differ only in joint order:
+    the PRS head slides a fixed strut along a vertical rail (prismatic, then
+    revolute), the RPS head telescopes a strut from a base hinge (revolute,
+    then prismatic).  The revolute axis is the limb-plane normal for both.
     """
-    if params.variant is Variant.Z3_PRS:
-        return _ik_z3(params, pose, constraint_tol)
-    return _ik_a3(params, pose, constraint_tol)
+    rail = params.variant is Variant.Z3_PRS
+    states = []
+    for limb in (1, 2, 3):
+        joint, g = _limb_joint(params, pose, limb)
+        if rail:
+            disc = params.link_length**2 - g[0] ** 2 - g[1] ** 2
+            if disc < 0.0:
+                raise UnreachablePose(
+                    f"limb {limb}: strut cannot span radial offset {g[0]:.6g} mm"
+                )
+        if abs(g[1]) > constraint_tol:
+            raise ConstraintViolation(
+                f"limb {limb}: tangential residual {g[1]:.6g} mm exceeds {constraint_tol:g}"
+            )
+        anchor = base_anchor(params, limb)
+        if rail:
+            length = g[2] - math.sqrt(disc)
+            l1 = joint - anchor - length * Z_AXIS
+            prismatic = Z_AXIS
+        else:
+            length = math.hypot(g[0], g[2])
+            if length < 1e-9:
+                raise UnreachablePose(f"limb {limb}: joint coincides with the base hinge")
+            l1 = joint - anchor
+            prismatic = l1 / np.linalg.norm(l1)
+        revolute = _tangent(limb_azimuth(params, limb))
+        s1_par, s2_par = (prismatic, revolute) if rail else (revolute, prismatic)
+        states.append(
+            LimbState(
+                anchor=anchor,
+                g=g,
+                l1=l1,
+                actuated_length=length,
+                s1_par=s1_par,
+                s2_par=s2_par,
+                R_spherical=_distal_rotation(params, l1, limb),
+            )
+        )
+    return states
 
 
 def actuated_axis(params: MechanismParams, state: LimbState) -> np.ndarray:

@@ -21,7 +21,6 @@ from .geometry import (
     pose_from_tilts,
 )
 from .grids import SweepGrid
-from .kinematics import inverse_kinematics
 
 TILT_LIMIT = math.radians(60.0) + 1e-12
 
@@ -106,13 +105,14 @@ def solve_loop_closure(
     z: float | None = None,
     tol: float = 1e-10,
     max_iter: int = 100,
-    validate: bool = True,
 ) -> CompatiblePose:
     """Newton solve for the parasitic coordinates (x, y, gamma) at given tilts.
 
     Steps are damped by halving (at most 8 times) whenever the residual
     norm fails to decrease.  The heave never enters the closure equations,
-    so the returned parasitic triple is independent of z.
+    so the returned parasitic triple is independent of z.  The pose is not
+    checked against the limbs: inverse_kinematics raises UnreachablePose
+    where they cannot reach it.
     """
     _check_tilt_bounds(psi, theta)
     if z is None:
@@ -145,13 +145,11 @@ def solve_loop_closure(
             f"no convergence after {max_iter} iterations (residual {norm:.3g} mm)",
             residual=norm,
         )
-    return _compatible_pose(params, psi, theta, z, u, validate)
+    return _compatible_pose(psi, theta, z, u)
 
 
-def _compatible_pose(params, psi, theta, z, u, validate) -> CompatiblePose:
+def _compatible_pose(psi, theta, z, u) -> CompatiblePose:
     pose = pose_from_tilts(psi, theta, z, x=u[0], y=u[1], gamma=u[2])
-    if validate:
-        inverse_kinematics(params, pose)
     return CompatiblePose(
         pose=pose,
         psi=psi,
@@ -193,7 +191,8 @@ def integrate_parasitic_path(
     The platform angular rate is the exact one of the time-varying
     orientation, not a small-angle approximation.  Raises
     IntegrationDiverged when the end point drifts off the constraint
-    manifold by more than the compatibility tolerance.
+    manifold by more than the compatibility tolerance.  Like
+    solve_loop_closure, it does not check that the limbs reach the pose.
     """
     _check_tilt_bounds(psi, theta)
     if z is None:
@@ -218,7 +217,7 @@ def integrate_parasitic_path(
     drift = float(np.max(np.abs(residual)))
     if drift > 1e-6:
         raise IntegrationDiverged(f"end-point constraint residual {drift:.3g} mm")
-    return _compatible_pose(params, psi, theta, z, u, validate=True)
+    return _compatible_pose(psi, theta, z, u)
 
 
 def parasitic_map(

@@ -42,7 +42,7 @@ def _evaluate_row(task) -> np.ndarray:
     lo, hi = params.stroke_limits()
     for j, theta in enumerate(theta_axis):
         try:
-            cp = solve_loop_closure(params, psi, theta, z0, validate=False)
+            cp = solve_loop_closure(params, psi, theta, z0)
         except CELL_ERRORS:
             continue
         shift = cp.parasitic

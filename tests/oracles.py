@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+from scipy.spatial.transform import Rotation
 
 
 def skew(v):
@@ -22,8 +23,6 @@ def skew(v):
 
 def rotation_from_tilts_scipy(psi, theta, gamma=0.0):
     # extrinsic x-y-z equals Rz(gamma) @ Ry(theta) @ Rx(psi)
-    from scipy.spatial.transform import Rotation
-
     return Rotation.from_euler("xyz", [psi, theta, gamma]).as_matrix()
 
 
@@ -103,6 +102,4 @@ def ik_a3_reference(r_base, r_platform, p, R):
 
 def euler_yxz_reference(R):
     """Angles (a, b, c) with R = Ry(a) @ Rx(b) @ Rz(c), via scipy."""
-    from scipy.spatial.transform import Rotation
-
     return Rotation.from_matrix(R).as_euler("YXZ")

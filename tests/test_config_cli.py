@@ -57,6 +57,8 @@ def test_params_from_config_defaults_and_overrides():
 def test_params_from_config_propagates_geometry_errors():
     with pytest.raises(ConfigError, match="link_length"):
         params_from_config(parse_config_text("link_length_mm = 10\n"), variant=Variant.Z3_PRS)
+    with pytest.raises(ConfigError, match="k_sx"):
+        params_from_config(parse_config_text("k_sx = -1\n"), variant="z3")
 
 
 def test_sweep_settings_bounds():
@@ -77,6 +79,7 @@ def test_default_config_template_round_trips():
     params = params_from_config(entries)
     assert params.variant is Variant.Z3_PRS
     assert params.link_length == 642.3
+    assert params == default_params(Variant.Z3_PRS)
     assert sweep_settings_from_config(entries) == SweepSettings()
 
 
@@ -84,6 +87,10 @@ def test_parser_rejects_unknown_machine(capsys):
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["ik", "--machine", "orbit"])
+    # compare runs both machines and takes no machine selection
+    with pytest.raises(SystemExit) as excinfo:
+        parser.parse_args(["compare", "--machine", "z3", "--out", "x"])
+    assert excinfo.value.code == 2
     capsys.readouterr()
 
 

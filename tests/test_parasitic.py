@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import parasitic_second_order
-from pkm.errors import NoConvergence
-from pkm.geometry import Pose, home_height, rot_z
+from pkm.errors import NoConvergence, UnreachablePose
+from pkm.geometry import MechanismParams, Pose, Variant, home_height, rot_z
 from pkm.grids import tilt_axes
 from pkm.jacobian import build_jacobian
 from pkm.kinematics import inverse_kinematics, limb_frame_coords
@@ -16,6 +16,7 @@ from pkm.parasitic import (
     parasitic_map,
     solve_loop_closure,
 )
+from pkm.stiffness import stiffness_map_rotational
 
 tilts = st.floats(min_value=-0.6, max_value=0.6)
 
@@ -165,3 +166,25 @@ def test_parasitic_map_fields(params):
     # spot check one off-center cell against the direct solve
     cp = solve_loop_closure(params, psi_axis[1], theta_axis[5])
     assert fields["y_mm"].values[1, 5] == pytest.approx(cp.parasitic.y, abs=1e-12)
+
+
+def test_reachability_is_decided_by_inverse_kinematics():
+    # the closure solves every cell; only IK rejects the poses the short
+    # struts cannot reach, and exactly those cells lose their stiffness
+    params = MechanismParams(variant=Variant.Z3_PRS, link_length=105.0)
+    psi_axis, theta_axis = tilt_axes(5, 30.0)
+    fields = parasitic_map(params, psi_axis, theta_axis)
+    kpx = stiffness_map_rotational(params, psi_axis, theta_axis)["kpx"]
+    unreachable = np.zeros((5, 5), dtype=bool)
+    for i, psi in enumerate(psi_axis):
+        for j, theta in enumerate(theta_axis):
+            cp = solve_loop_closure(params, psi, theta)
+            shift = cp.parasitic
+            written = tuple(fields[name].values[i, j] for name in ("x_mm", "y_mm", "gamma_rad"))
+            assert (shift.x, shift.y, shift.gamma) == written
+            try:
+                inverse_kinematics(params, cp.pose)
+            except UnreachablePose:
+                unreachable[i, j] = True
+    assert unreachable.any()
+    assert np.array_equal(unreachable, ~kpx.mask)
