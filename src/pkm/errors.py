@@ -1,5 +1,7 @@
 """Exception taxonomy for kinematic, numeric and configuration failures."""
 
+import enum
+
 
 class PkmError(Exception):
     """Base class for all package-specific failures."""
@@ -53,7 +55,8 @@ class ConfigError(PkmError):
     """Malformed or inconsistent configuration input."""
 
 
-# failures that leave one grid cell empty instead of stopping a sweep
+# failures that leave one grid cell empty instead of stopping a sweep,
+# in the order of their CellStatus codes
 CELL_ERRORS = (
     NoConvergence,
     CouplingSingular,
@@ -63,3 +66,24 @@ CELL_ERRORS = (
     SingularConfiguration,
     RankDeficiency,
 )
+
+
+class CellStatus(enum.IntEnum):
+    """Outcome of one grid cell stage: OK, or the CELL_ERRORS member it stands for."""
+
+    OK = 0
+    NO_CONVERGENCE = 1
+    COUPLING_SINGULAR = 2
+    CONSTRAINT_VIOLATION = 3
+    UNREACHABLE = 4
+    SINGULAR_LIMB = 5
+    SINGULAR_CONFIGURATION = 6
+    RANK_DEFICIENCY = 7
+
+    @classmethod
+    def of(cls, error: type[PkmError]) -> "CellStatus":
+        return cls(CELL_ERRORS.index(error) + 1)
+
+    @property
+    def error(self) -> type[PkmError] | None:
+        return CELL_ERRORS[self - 1] if self else None

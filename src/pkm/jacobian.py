@@ -18,6 +18,9 @@ from .geometry import MechanismParams, Pose, TaskRate, platform_attachment
 from .kinematics import LimbState, actuated_axis, inverse_kinematics, revolute_axis
 
 MOMENT_CONVENTION = "moment = attachment x direction, about platform centre"
+SINGULAR_LIMB_TOL = 1e-9  # |l1 . actuated axis| below this is a singular limb
+RANK_TOL = 1e-10  # smallest/largest singular value of the constraint wrenches
+SINGULAR_TOL = 1e-12  # smallest/largest singular value of the homogenized Jacobian
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +39,10 @@ class JacobianSet:
 
 def _line_wrench(direction: np.ndarray, attachment: np.ndarray) -> np.ndarray:
     """Plucker 6-vector (direction, moment) of a line through the attachment."""
-    return np.concatenate([direction, np.cross(attachment, direction)])
+    dx, dy, dz = direction.tolist()
+    ax, ay, az = attachment.tolist()
+    # attachment x direction spelt out: np.cross costs about ten times more on 3-vectors
+    return np.array([dx, dy, dz, ay * dz - az * dy, az * dx - ax * dz, ax * dy - ay * dx])
 
 
 def build_jacobian(
@@ -50,7 +56,7 @@ def build_jacobian(
     for limb, state in enumerate(states, start=1):
         attachment = platform_attachment(params, pose.R, limb)
         divisor = float(state.l1 @ actuated_axis(params, state))
-        if abs(divisor) < 1e-9:
+        if abs(divisor) < SINGULAR_LIMB_TOL:
             raise SingularLimb(
                 f"limb {limb}: link orthogonal to its actuated axis ({divisor:.3g})"
             )
@@ -70,9 +76,9 @@ def build_jacobian(
 
 def _projector_and_null_basis(Gc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     U, sigma, _ = np.linalg.svd(Gc, full_matrices=True)
-    if sigma.min() < 1e-10 * sigma.max():
+    if sigma.min() < RANK_TOL * sigma.max():
         raise RankDeficiency(
-            f"constraint wrenches span only rank {int(np.sum(sigma >= 1e-10 * sigma.max()))}"
+            f"constraint wrenches span only rank {int(np.sum(sigma >= RANK_TOL * sigma.max()))}"
         )
     range_basis = U[:, :3]
     P = np.eye(6) - range_basis @ range_basis.T
@@ -120,6 +126,6 @@ def homogenized_jacobian(
     _, basis = _projector_and_null_basis(scaled_c)
     J = scaled_a.T @ basis
     sigma = np.linalg.svd(J, compute_uv=False)
-    if sigma[-1] < 1e-12 * sigma[0]:
+    if sigma[-1] <= SINGULAR_TOL * sigma[0]:  # also a J that vanishes
         raise SingularConfiguration("homogenized Jacobian is singular")
     return J, float(sigma[0] / sigma[-1])

@@ -28,6 +28,7 @@ from .geometry import (
 )
 
 CONSTRAINT_TOL = 1e-6
+HINGE_TOL = 1e-9  # mm; a strut shorter than this has its joint on the base hinge
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +109,7 @@ def inverse_kinematics(
             prismatic = Z_AXIS
         else:
             length = math.hypot(g[0], g[2])
-            if length < 1e-9:
+            if length < HINGE_TOL:
                 raise UnreachablePose(f"limb {limb}: joint coincides with the base hinge")
             l1 = joint - anchor
             prismatic = l1 / np.linalg.norm(l1)

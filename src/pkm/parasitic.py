@@ -23,6 +23,9 @@ from .geometry import (
 from .grids import SweepGrid
 
 TILT_LIMIT = math.radians(60.0) + 1e-12
+CLOSURE_TOL = 1e-10  # mm, on the largest tangential offset
+CLOSURE_MAX_ITER = 100
+DAMPING_TRIES = 9  # the full Newton step, then up to 8 halvings
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,21 +55,31 @@ class CompatiblePose:
     parasitic: ParasiticShift
 
 
+def _azimuth_trig(params: MechanismParams) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the three limb azimuths."""
+    return (
+        np.array([math.cos(xi) for xi in params.azimuths]),
+        np.array([math.sin(xi) for xi in params.azimuths]),
+    )
+
+
 def _attachments(params: MechanismParams, R: np.ndarray) -> np.ndarray:
+    """Platform attachments, one row per limb, for R of shape (3, 3) or (N, 3, 3)."""
     body = params.r_platform * np.array(
         [[math.cos(xi), math.sin(xi), 0.0] for xi in params.azimuths]
     )
-    return body @ R.T
+    return body @ np.swapaxes(R, -1, -2)
 
 
 def _coupling_rows(params: MechanismParams, attachments: np.ndarray):
-    C1 = np.empty((3, 3))
-    C2 = np.empty((3, 2))
-    for i, xi in enumerate(params.azimuths):
-        c, s = math.cos(xi), math.sin(xi)
-        ax, ay, az = attachments[i]
-        C1[i] = (-s, c, ax * c + ay * s)
-        C2[i] = (az * c, az * s)
+    """C1 (..., 3, 3) and C2 (..., 3, 2) from attachments of shape (..., 3, 3)."""
+    c, s = _azimuth_trig(params)
+    ax, ay, az = attachments[..., 0], attachments[..., 1], attachments[..., 2]
+    C1 = np.empty(attachments.shape)
+    C1[..., 0] = -s
+    C1[..., 1] = c
+    C1[..., 2] = ax * c + ay * s
+    C2 = np.stack((az * c, az * s), axis=-1)
     return C1, C2
 
 
@@ -80,17 +93,23 @@ def coupling_matrices(params: MechanismParams, pose: Pose) -> ParasiticCoupling:
     return ParasiticCoupling(C1=C1, C2=C2, C=C)
 
 
-def _closure_residual(params: MechanismParams, psi: float, theta: float, z: float, u):
-    """Tangential offsets g_iy and their Jacobian with respect to (x, y, gamma)."""
-    R = orientation_from_tilts(psi, theta, u[2])
-    attachments = _attachments(params, R)
+def _closure_rows(params: MechanismParams, attachments: np.ndarray, u: np.ndarray):
+    """Tangential offsets g_iy and their Jacobian with respect to u = (x, y, gamma).
+
+    attachments (..., 3, 3) belong to the orientation at u[..., 2]; the
+    heave does not enter, so neither does z.
+    """
+    c, s = _azimuth_trig(params)
+    x, y = u[..., 0, None], u[..., 1, None]
+    residual = -s * (x + attachments[..., 0]) + c * (y + attachments[..., 1])
     C1, _ = _coupling_rows(params, attachments)
-    p = np.array([u[0], u[1], z])
-    residual = np.empty(3)
-    for i, xi in enumerate(params.azimuths):
-        joint = p + attachments[i]
-        residual[i] = -math.sin(xi) * joint[0] + math.cos(xi) * joint[1]
     return residual, C1
+
+
+def _closure_residual(params: MechanismParams, psi: float, theta: float, u):
+    """_closure_rows at the orientation for tilts (psi, theta) and torsion u[2]."""
+    R = orientation_from_tilts(psi, theta, u[2])
+    return _closure_rows(params, _attachments(params, R), u)
 
 
 def _check_tilt_bounds(psi: float, theta: float) -> None:
@@ -103,8 +122,8 @@ def solve_loop_closure(
     psi: float,
     theta: float,
     z: float | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 100,
+    tol: float = CLOSURE_TOL,
+    max_iter: int = CLOSURE_MAX_ITER,
 ) -> CompatiblePose:
     """Newton solve for the parasitic coordinates (x, y, gamma) at given tilts.
 
@@ -118,7 +137,7 @@ def solve_loop_closure(
     if z is None:
         z = home_height(params)
     u = np.zeros(3)
-    residual, jac = _closure_residual(params, psi, theta, z, u)
+    residual, jac = _closure_residual(params, psi, theta, u)
     norm = np.max(np.abs(residual))
     converged = norm < tol
     for _ in range(max_iter):
@@ -129,9 +148,9 @@ def solve_loop_closure(
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"closure Jacobian singular: {exc}", residual=norm)
         scale = 1.0
-        for _halving in range(9):
+        for _halving in range(DAMPING_TRIES):
             trial = u + scale * step
-            trial_residual, trial_jac = _closure_residual(params, psi, theta, z, trial)
+            trial_residual, trial_jac = _closure_residual(params, psi, theta, trial)
             trial_norm = np.max(np.abs(trial_residual))
             if trial_norm < norm or trial_norm < tol:
                 break
@@ -213,7 +232,7 @@ def integrate_parasitic_path(
         u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(u)):
             raise IntegrationDiverged(f"state blew up at path parameter {s + h:.4g}")
-    residual, _ = _closure_residual(params, psi, theta, z, u)
+    residual, _ = _closure_residual(params, psi, theta, u)
     drift = float(np.max(np.abs(residual)))
     if drift > 1e-6:
         raise IntegrationDiverged(f"end-point constraint residual {drift:.3g} mm")

@@ -1,27 +1,21 @@
 """Grid sweeps, their CSV/SVG figure writers and the two-machine comparison.
 
 Every map and the comparison evaluate their tilt cells through one
-evaluator.  Each cell is an independent pure evaluation, so sweeps can be
-chunked across worker processes; results are assembled by grid index and
-the emitted files are byte-identical for any worker count.
+evaluator, the batched cell kernel, in a single process.
 """
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .config import SweepSettings
-from .errors import CELL_ERRORS
-from .geometry import MechanismParams, home_height, pose_from_tilts
+from .geometry import MechanismParams, home_height
 from .grids import SweepGrid, fmt12, grid_from_cells, tilt_axes, write_map_csv
-from .jacobian import build_jacobian
-from .kinematics import inverse_kinematics
-from .parasitic import solve_loop_closure
-from .stiffness import STIFFNESS_FIELDS, assemble_stiffness
+from .kernel import RECORD, evaluate_grid
+from .stiffness import STIFFNESS_FIELDS
 from .svg import emit_heatmap_svg
 
 DEFAULT_HEAVE_OFFSETS = (0.0, -50.0, -100.0)
@@ -29,43 +23,6 @@ DEFAULT_HEAVE_OFFSETS = (0.0, -50.0, -100.0)
 _UNITS_NOTE = (
     "units: angles deg, lengths mm; kpx,kpy,kpz N/mm; kax,kay,kaz N*mm/rad; kappa dimensionless"
 )
-
-
-# columns of a cell record, followed by one workspace flag per heave offset
-_RECORD = ("x_mm", "y_mm", "gamma_rad", "kappa", *STIFFNESS_FIELDS)
-
-
-def _evaluate_row(task) -> np.ndarray:
-    params, psi, theta_axis, z0, offsets, kappa_min_inv, stiffness = task
-    out = np.full((len(theta_axis), len(_RECORD) + len(offsets)), np.nan)
-    out[:, len(_RECORD) :] = 0.0
-    lo, hi = params.stroke_limits()
-    for j, theta in enumerate(theta_axis):
-        try:
-            cp = solve_loop_closure(params, psi, theta, z0)
-        except CELL_ERRORS:
-            continue
-        shift = cp.parasitic
-        out[j, 0:3] = (shift.x, shift.y, shift.gamma)
-        for k, dz in enumerate(offsets):
-            # the parasitic triple does not depend on heave, reuse it
-            if dz == 0.0:
-                pose = cp.pose
-            else:
-                pose = pose_from_tilts(psi, theta, z0 + dz, shift.x, shift.y, shift.gamma)
-            try:
-                states = inverse_kinematics(params, pose)
-                jac = build_jacobian(params, pose, states)
-                if k == 0:
-                    out[j, 3] = jac.kappa
-                    if stiffness:
-                        result = assemble_stiffness(params, pose, states, jac)
-                        out[j, 4 : len(_RECORD)] = list(result.diagonal_measures().values())
-            except CELL_ERRORS:
-                continue
-            strokes_ok = all(lo <= st.actuated_length <= hi for st in states)
-            out[j, len(_RECORD) + k] = float(strokes_ok and 1.0 / jac.kappa >= kappa_min_inv)
-    return out
 
 
 def _evaluate_grid(
@@ -76,7 +33,6 @@ def _evaluate_grid(
     offsets: tuple[float, ...] = (0.0,),
     kappa_min_inv: float = 0.05,
     stiffness: bool = False,
-    workers: int = 1,
 ) -> dict[str, SweepGrid]:
     """Evaluate the per-cell chain closure -> IK -> Jacobian -> stiffness over a tilt grid.
 
@@ -85,26 +41,16 @@ def _evaluate_grid(
     and the Jacobian give inside_k: 1 where the strokes stay within their
     limits and 1/kappa >= kappa_min_inv, else 0.  kappa, and with stiffness
     the diagonal stiffness measures, are taken at the first offset; fields
-    of stages that were not run stay empty.  A cell whose stage raises one
-    of CELL_ERRORS stays empty from that stage on, so its parasitic fields
-    survive a later failure.
+    of stages that were not run stay empty.  A cell whose stage fails with
+    one of CELL_ERRORS stays empty from that stage on, so its parasitic
+    fields survive a later failure.
     """
     if z0 is None:
         z0 = home_height(params)
-    tasks = [
-        (params, float(psi), theta_axis, z0, offsets, kappa_min_inv, stiffness)
-        for psi in psi_axis
-    ]
-    if workers > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            rows = pool.map(_evaluate_row, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
-    else:
-        rows = [_evaluate_row(task) for task in tasks]
-    stacked = np.stack(rows)
+    table = evaluate_grid(params, psi_axis, theta_axis, z0, offsets, kappa_min_inv, stiffness)
     fields = {}
-    for n, name in enumerate([*_RECORD, *(f"inside_{k}" for k in range(len(offsets)))]):
-        values = stacked[:, :, n]
+    for n, name in enumerate([*RECORD, *(f"inside_{k}" for k in range(len(offsets)))]):
+        values = table.values[:, :, n]
         mask = np.ones_like(values, dtype=bool) if name.startswith("inside_") else None
         fields[name] = grid_from_cells(psi_axis, theta_axis, values, mask)
     return fields
@@ -209,6 +155,7 @@ class CompareSettings:
     out_dir: str | Path
     sweep: SweepSettings = field(default_factory=SweepSettings)
     heave_offsets: tuple[float, ...] = DEFAULT_HEAVE_OFFSETS
+    # accepted and ignored: the cells are evaluated in one process
     workers: int = 1
 
 
@@ -300,7 +247,6 @@ def run_comparison(settings: CompareSettings) -> ComparisonReport:
             settings.heave_offsets,
             sweep.kappa_min_inv,
             stiffness=True,
-            workers=settings.workers,
         )
         for label, params in (("z3", z3), ("a3", a3))
     }

@@ -4,12 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from pkm import sweep
+from pkm import kernel
 from pkm.config import SweepSettings
-from pkm.errors import CELL_ERRORS
-from pkm.geometry import MechanismParams, Variant, default_params, home_height
+from pkm.errors import CELL_ERRORS, CellStatus
+from pkm.geometry import (
+    MechanismParams,
+    Variant,
+    default_params,
+    home_height,
+    platform_attachment,
+)
 from pkm.grids import read_map_csv, tilt_axes
-from pkm.parasitic import parasitic_map
+from pkm.parasitic import parasitic_map, solve_loop_closure
 from pkm.stiffness import STIFFNESS_FIELDS, stiffness_map_rotational
 from pkm.sweep import (
     CompareSettings,
@@ -168,17 +174,17 @@ def test_failing_stage_empties_only_its_cell(monkeypatch, tmp_path, z3_params, e
     psi_axis, theta_axis = tilt_axes(5, 30.0)
     broken = (1, 3)
     reference_inside, _ = workspace_slice(z3_params, psi_axis, theta_axis)
-    real_build_jacobian = sweep.build_jacobian
+    real_jacobian = kernel._jacobian
+    # the broken cell's attachments, the same for both machines and every heave
+    R = solve_loop_closure(z3_params, psi_axis[broken[0]], theta_axis[broken[1]]).pose.R
+    target = np.array([platform_attachment(z3_params, R, limb) for limb in (1, 2, 3)])
 
-    def build_jacobian(params, pose, states=None):
-        R = pose.R
-        if math.isclose(math.atan2(R[2, 1], R[2, 2]), psi_axis[broken[0]]) and math.isclose(
-            -math.asin(R[2, 0]), theta_axis[broken[1]]
-        ):
-            raise error("injected")
-        return real_build_jacobian(params, pose, states)
+    def jacobian(params, limbs, status):
+        G, kappa, status = real_jacobian(params, limbs, status)
+        hit = np.all(np.abs(limbs.attachment - target) < 1e-9, axis=(1, 2))
+        return G, kappa, np.where(hit, CellStatus.of(error), status)
 
-    monkeypatch.setattr(sweep, "build_jacobian", build_jacobian)
+    monkeypatch.setattr(kernel, "_jacobian", jacobian)
     only_broken = np.zeros((5, 5), dtype=bool)
     only_broken[broken] = True
 
