@@ -98,12 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=Path, help="key=value config file")
     _add_sweep(p)
     p.add_argument("--kappa-min-inv", type=float, default=None, help="1/kappa admission threshold")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="accepted for compatibility and ignored: the evaluation is single-process",
-    )
 
     p = sub.add_parser("config-template", help="print a commented config template")
     return parser
@@ -237,7 +231,6 @@ def _cmd_compare(args) -> int:
         params_a3=params_a3,
         out_dir=args.out,
         sweep=settings,
-        workers=max(1, args.workers),
     )
     report = run_comparison(compare)
     sys.stdout.write(report.as_text())

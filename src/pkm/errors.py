@@ -79,11 +79,3 @@ class CellStatus(enum.IntEnum):
     SINGULAR_LIMB = 5
     SINGULAR_CONFIGURATION = 6
     RANK_DEFICIENCY = 7
-
-    @classmethod
-    def of(cls, error: type[PkmError]) -> "CellStatus":
-        return cls(CELL_ERRORS.index(error) + 1)
-
-    @property
-    def error(self) -> type[PkmError] | None:
-        return CELL_ERRORS[self - 1] if self else None

@@ -96,28 +96,23 @@ def _rotations(angles: np.ndarray, axis: int) -> np.ndarray:
     return R
 
 
-@dataclass(frozen=True, eq=False)
-class _Tilts:
-    """rot_y(theta) and rot_x(psi) stacks of the commanded tilts of a stack of cells."""
+def _orientations(ry: np.ndarray, rx: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """orientation_from_tilts for each cell from its rot_y(theta) and rot_x(psi).
 
-    ry: np.ndarray
-    rx: np.ndarray
-
-    def take(self, cells: np.ndarray) -> "_Tilts":
-        return _Tilts(self.ry[cells], self.rx[cells])
-
-    def orientation(self, gamma: np.ndarray) -> np.ndarray:
-        """orientation_from_tilts for each cell; np.matmul runs the same BLAS call per cell."""
-        return _rotations(gamma, 2) @ self.ry @ self.rx
+    np.matmul runs the same BLAS call per cell as the scalar function.
+    """
+    return _rotations(gamma, 2) @ ry @ rx
 
 
-def _closure_residual(params: MechanismParams, tilts: _Tilts, u: np.ndarray):
+def _closure_residual(params: MechanismParams, ry: np.ndarray, rx: np.ndarray, u: np.ndarray):
     """parasitic._closure_residual for every cell: g_iy (N, 3) and C1 (N, 3, 3)."""
-    attachments = parasitic._attachments(params, tilts.orientation(u[:, 2]))
+    attachments = parasitic._attachments(params, _orientations(ry, rx, u[:, 2]))
     return parasitic._closure_rows(params, attachments, u)
 
 
-def _solve_closure(params: MechanismParams, tilts: _Tilts) -> tuple[np.ndarray, np.ndarray]:
+def _solve_closure(
+    params: MechanismParams, ry: np.ndarray, rx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """solve_loop_closure for every cell: the parasitic triples (N, 3) and their status.
 
     Each cell iterates until its own residual converges, with its own step
@@ -125,10 +120,10 @@ def _solve_closure(params: MechanismParams, tilts: _Tilts) -> tuple[np.ndarray, 
     np.linalg.solve raises, fails with NO_CONVERGENCE like every other
     failed closure.
     """
-    n = len(tilts.rx)
+    n = len(rx)
     u = np.zeros((n, 3))
     status = np.full(n, OK, dtype=np.int8)
-    residual, jac = _closure_residual(params, tilts, u)
+    residual, jac = _closure_residual(params, ry, rx, u)
     norm = np.abs(residual).max(axis=1)
     live = np.flatnonzero(~(norm < CLOSURE_TOL))
     for _ in range(CLOSURE_MAX_ITER):
@@ -143,7 +138,7 @@ def _solve_closure(params: MechanismParams, tilts: _Tilts) -> tuple[np.ndarray, 
         for _halving in range(DAMPING_TRIES):
             cells = live[pending]
             trial = u[cells] + scale * step[pending]
-            trial_residual, trial_jac = _closure_residual(params, tilts.take(cells), trial)
+            trial_residual, trial_jac = _closure_residual(params, ry[cells], rx[cells], trial)
             trial_norm = np.abs(trial_residual).max(axis=1)
             accept = (trial_norm < norm[cells]) | (trial_norm < CLOSURE_TOL)
             done = cells[accept]
@@ -288,14 +283,14 @@ def _evaluate_cells(
     values = np.full((psi.size, len(RECORD) + len(offsets)), np.nan)
     values[:, len(RECORD) :] = 0.0
     status = np.empty((psi.size, 1 + len(offsets)), dtype=np.int8)
-    tilts = _Tilts(ry=_rotations(theta, 1), rx=_rotations(psi, 0))
-    u, status[:, 0] = _solve_closure(params, tilts)
+    ry, rx = _rotations(theta, 1), _rotations(psi, 0)
+    u, status[:, 0] = _solve_closure(params, ry, rx)
     closed = status[:, 0] == OK
     values[closed, :3] = u[closed]
     if not offsets:
         return values, status
     # the parasitic triple does not depend on heave: one closure serves every offset
-    attachment = parasitic._attachments(params, tilts.orientation(u[:, 2]))
+    attachment = parasitic._attachments(params, _orientations(ry, rx, u[:, 2]))
     lo, hi = params.stroke_limits()
     for k, dz in enumerate(offsets):
         limbs, cell_status = _inverse_kinematics(params, attachment, u, z0 + dz, status[:, 0])

@@ -91,6 +91,10 @@ def test_parser_rejects_unknown_machine(capsys):
     with pytest.raises(SystemExit) as excinfo:
         parser.parse_args(["compare", "--machine", "z3", "--out", "x"])
     assert excinfo.value.code == 2
+    # nor a worker count: every grid runs in one process
+    with pytest.raises(SystemExit) as excinfo:
+        parser.parse_args(["compare", "--workers", "2", "--out", "x"])
+    assert excinfo.value.code == 2
     capsys.readouterr()
 
 

@@ -66,7 +66,8 @@ def assert_matches_scalar(params, psi_axis, theta_axis, z0):
         params, psi_axis, theta_axis, z0, OFFSETS, KAPPA_MIN_INV, stiffness=True
     )
     values, errors = scalar_table(params, psi_axis, theta_axis, z0)
-    mapped = np.vectorize(lambda code: CellStatus(code).error, otypes=[object])(table.status)
+    # CellStatus code k > 0 stands for CELL_ERRORS[k - 1]
+    mapped = np.array((None, *CELL_ERRORS), dtype=object)[table.status]
     assert np.array_equal(mapped, errors)
     assert np.array_equal(np.isnan(table.values), np.isnan(values))
     # the closure is the scalar one bit for bit: the grid means of the odd

@@ -6,7 +6,7 @@ import pytest
 
 from pkm import kernel
 from pkm.config import SweepSettings
-from pkm.errors import CELL_ERRORS, CellStatus
+from pkm.errors import CELL_ERRORS
 from pkm.geometry import (
     MechanismParams,
     Variant,
@@ -182,7 +182,7 @@ def test_failing_stage_empties_only_its_cell(monkeypatch, tmp_path, z3_params, e
     def jacobian(params, limbs, status):
         G, kappa, status = real_jacobian(params, limbs, status)
         hit = np.all(np.abs(limbs.attachment - target) < 1e-9, axis=(1, 2))
-        return G, kappa, np.where(hit, CellStatus.of(error), status)
+        return G, kappa, np.where(hit, CELL_ERRORS.index(error) + 1, status)
 
     monkeypatch.setattr(kernel, "_jacobian", jacobian)
     only_broken = np.zeros((5, 5), dtype=bool)
