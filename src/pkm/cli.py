@@ -43,22 +43,18 @@ from .sweep import (
 _UNITS_NOTE = "units: angles deg, lengths mm"
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--machine", choices=[v.value for v in Variant], help="machine selection")
-    parser.add_argument("--config", type=Path, help="key=value config file")
-
-
-def _add_pose(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--psi-deg", type=float, default=0.0, help="tilt about x, degrees")
-    parser.add_argument("--theta-deg", type=float, default=0.0, help="tilt about y, degrees")
-    parser.add_argument("--z", type=float, default=None, help="heave in mm (default: home height)")
-
-
-def _add_sweep(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--grid", type=int, default=None, help="cells per tilt axis")
-    parser.add_argument("--tilt-max-deg", type=float, default=None, help="half range of the sweep")
-    parser.add_argument("--z", type=float, default=None, help="heave in mm (default: home height)")
-    parser.add_argument("--out", type=Path, required=True, help="output directory")
+# (option group, option, add_argument keywords); each option is declared once
+_OPTIONS = (
+    ("machine", "--machine", dict(choices=[v.value for v in Variant], help="machine selection")),
+    ("config", "--config", dict(type=Path, help="key=value config file")),
+    ("pose", "--psi-deg", dict(type=float, default=0.0, help="tilt about x, degrees")),
+    ("pose", "--theta-deg", dict(type=float, default=0.0, help="tilt about y, degrees")),
+    ("sweep", "--grid", dict(type=int, help="cells per tilt axis")),
+    ("sweep", "--tilt-max-deg", dict(type=float, help="half range of the sweep")),
+    ("height", "--z", dict(type=float, help="heave in mm (default: home height)")),
+    ("out", "--out", dict(type=Path, required=True, help="output directory")),
+    ("kappa", "--kappa-min-inv", dict(type=float, help="1/kappa admission threshold")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,43 +64,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ik", help="solve the compatible pose and actuator coordinates")
-    _add_common(p)
-    _add_pose(p)
-
-    p = sub.add_parser("jacobian", help="print the constraint-embedded Jacobian and conditioning")
-    _add_common(p)
-    _add_pose(p)
-
-    p = sub.add_parser("parasitic-map", help="sweep the parasitic shift over a tilt grid")
-    _add_common(p)
-    _add_sweep(p)
-
-    p = sub.add_parser("condition-map", help="sweep the homogenized condition number")
-    _add_common(p)
-    _add_sweep(p)
-
-    p = sub.add_parser("workspace", help="orientation workspace slice with stroke and conditioning limits")
-    _add_common(p)
-    _add_sweep(p)
-    p.add_argument("--kappa-min-inv", type=float, default=None, help="1/kappa admission threshold")
-
-    p = sub.add_parser("stiffness-map", help="sweep the six diagonal stiffness measures")
-    _add_common(p)
-    _add_sweep(p)
-
-    p = sub.add_parser("compare", help="run the full paired comparison pipeline")
-    p.add_argument("--config", type=Path, help="key=value config file")
-    _add_sweep(p)
-    p.add_argument("--kappa-min-inv", type=float, default=None, help="1/kappa admission threshold")
-
-    p = sub.add_parser("config-template", help="print a commented config template")
+    groups: dict[str, argparse.ArgumentParser] = {}
+    for group, option, kwargs in _OPTIONS:
+        groups.setdefault(group, argparse.ArgumentParser(add_help=False))
+        groups[group].add_argument(option, **kwargs)
+    for name, (_, help_text, options) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text, parents=[groups[g] for g in options.split()])
     return parser
 
 
 def _load_entries(args) -> dict:
-    if getattr(args, "config", None) is None:
+    if args.config is None:
         return {}
     return load_config(args.config)
 
@@ -126,24 +96,22 @@ def _single_machine(args):
     return params, entries
 
 
-def _cmd_ik(args) -> int:
+def _pose_chain(args):
+    """The machine, its compatible pose at the commanded tilts and the limb states there."""
     params, _ = _single_machine(args)
     psi = math.radians(args.psi_deg)
     theta = math.radians(args.theta_deg)
     cp = solve_loop_closure(params, psi, theta, args.z)
-    states = inverse_kinematics(params, cp.pose)
+    return params, cp, inverse_kinematics(params, cp.pose)
+
+
+def _cmd_ik(args) -> int:
+    params, cp, states = _pose_chain(args)
     print(f"machine: {params.variant.value}")
     print(f"pose: psi {fmt12(args.psi_deg)} deg, theta {fmt12(args.theta_deg)} deg, z {fmt12(cp.z)} mm")
     shift = cp.parasitic
-    print(
-        "parasitic shift: x "
-        + fmt12(shift.x)
-        + " mm, y "
-        + fmt12(shift.y)
-        + " mm, gamma "
-        + fmt12(shift.gamma)
-        + " rad"
-    )
+    x, y, gamma = fmt12(shift.x), fmt12(shift.y), fmt12(shift.gamma)
+    print(f"parasitic shift: x {x} mm, y {y} mm, gamma {gamma} rad")
     name = "slide d" if params.variant is Variant.Z3_PRS else "length l"
     for limb, st in enumerate(states, start=1):
         print(f"limb {limb}: {name} = {fmt12(st.actuated_length)} mm")
@@ -151,11 +119,7 @@ def _cmd_ik(args) -> int:
 
 
 def _cmd_jacobian(args) -> int:
-    params, _ = _single_machine(args)
-    psi = math.radians(args.psi_deg)
-    theta = math.radians(args.theta_deg)
-    cp = solve_loop_closure(params, psi, theta, args.z)
-    states = inverse_kinematics(params, cp.pose)
+    params, cp, states = _pose_chain(args)
     jac = build_jacobian(params, cp.pose, states)
     np.set_printoptions(precision=6, suppress=False, linewidth=120)
     print(f"machine: {params.variant.value}")
@@ -238,24 +202,38 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _cmd_config_template(args) -> int:
+    sys.stdout.write(default_config_text())
+    return 0
+
+
+_POSE = "machine config pose height"
+_MAP = "machine config sweep height out"
+# subcommand: handler, help, option groups in the order --help lists them
 _COMMANDS = {
-    "ik": _cmd_ik,
-    "jacobian": _cmd_jacobian,
-    "parasitic-map": _cmd_parasitic_map,
-    "condition-map": _cmd_condition_map,
-    "workspace": _cmd_workspace,
-    "stiffness-map": _cmd_stiffness_map,
-    "compare": _cmd_compare,
+    "ik": (_cmd_ik, "solve the compatible pose and actuator coordinates", _POSE),
+    "jacobian": (_cmd_jacobian, "print the constraint-embedded Jacobian and conditioning", _POSE),
+    "parasitic-map": (_cmd_parasitic_map, "sweep the parasitic shift over a tilt grid", _MAP),
+    "condition-map": (_cmd_condition_map, "sweep the homogenized condition number", _MAP),
+    "workspace": (
+        _cmd_workspace,
+        "orientation workspace slice with stroke and conditioning limits",
+        _MAP + " kappa",
+    ),
+    "stiffness-map": (_cmd_stiffness_map, "sweep the six diagonal stiffness measures", _MAP),
+    "compare": (
+        _cmd_compare,
+        "run the full paired comparison pipeline",
+        "config sweep height out kappa",
+    ),
+    "config-template": (_cmd_config_template, "print a commented config template", ""),
 }
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "config-template":
-        sys.stdout.write(default_config_text())
-        return 0
-    handler = _COMMANDS[args.command]
+    handler = _COMMANDS[args.command][0]
     try:
         return handler(args)
     except ConfigError as exc:

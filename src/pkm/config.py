@@ -6,6 +6,7 @@ silently fall back to defaults.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -43,6 +44,8 @@ class SweepSettings:
             raise ConfigError("tilt_max_deg must lie in (0, 60]")
         if not (0.0 < self.kappa_min_inv < 1.0):
             raise ConfigError("kappa_min_inv must lie in (0, 1)")
+        if self.z_mm is not None and not math.isfinite(self.z_mm):
+            raise ConfigError("z_mm must be finite")
 
 
 def parse_config_text(text: str) -> dict[str, tuple[str, int]]:

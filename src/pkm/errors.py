@@ -59,7 +59,6 @@ class ConfigError(PkmError):
 # in the order of their CellStatus codes
 CELL_ERRORS = (
     NoConvergence,
-    CouplingSingular,
     ConstraintViolation,
     UnreachablePose,
     SingularLimb,
@@ -73,9 +72,8 @@ class CellStatus(enum.IntEnum):
 
     OK = 0
     NO_CONVERGENCE = 1
-    COUPLING_SINGULAR = 2
-    CONSTRAINT_VIOLATION = 3
-    UNREACHABLE = 4
-    SINGULAR_LIMB = 5
-    SINGULAR_CONFIGURATION = 6
-    RANK_DEFICIENCY = 7
+    CONSTRAINT_VIOLATION = 2
+    UNREACHABLE = 3
+    SINGULAR_LIMB = 4
+    SINGULAR_CONFIGURATION = 5
+    RANK_DEFICIENCY = 6

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import parasitic
 from .errors import CellStatus
-from .geometry import MechanismParams, Variant
+from .geometry import MechanismParams, Variant, home_height
+from .grids import SweepGrid, grid_from_cells
 from .jacobian import RANK_TOL, SINGULAR_LIMB_TOL, SINGULAR_TOL
 from .kinematics import CONSTRAINT_TOL, HINGE_TOL
 from .parasitic import CLOSURE_MAX_ITER, CLOSURE_TOL, DAMPING_TRIES
@@ -42,10 +43,18 @@ class CellTable:
     stage failed or did not run, inside flags 0 or 1.  status holds
     CellStatus codes: column 0 for the closure, column 1 + k for IK and the
     Jacobian at heave offset k (a failed closure repeats its code there).
+    table[name] is one column as a SweepGrid, valid where it is not NaN.
     """
 
+    psi_axis: np.ndarray
+    theta_axis: np.ndarray
     values: np.ndarray
     status: np.ndarray
+
+    def __getitem__(self, name: str) -> SweepGrid:
+        offsets = self.values.shape[2] - len(RECORD)
+        columns = {c: n for n, c in enumerate((*RECORD, *(f"inside_{k}" for k in range(offsets))))}
+        return grid_from_cells(self.psi_axis, self.theta_axis, self.values[:, :, columns[name]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,7 +321,7 @@ def evaluate_grid(
     params: MechanismParams,
     psi_axis: np.ndarray,
     theta_axis: np.ndarray,
-    z0: float,
+    z0: float | None = None,
     offsets: tuple[float, ...] = (0.0,),
     kappa_min_inv: float = 0.05,
     stiffness: bool = False,
@@ -320,14 +329,16 @@ def evaluate_grid(
     """Run the cell chain over a tilt grid in blocks of whole psi rows.
 
     The closure is solved once per cell; IK and the Jacobian run at heave
-    z0 + dz for each offset.  kappa and, with stiffness, the diagonal
-    stiffness measures are taken at the first offset.  inside_k is 1 where
-    the chain succeeded at offset k, the strokes stay within their limits
-    and 1/kappa >= kappa_min_inv.
+    z0 + dz for each offset, with z0 the home height by default.  kappa
+    and, with stiffness, the diagonal stiffness measures are taken at the
+    first offset.  inside_k is 1 where the chain succeeded at offset k,
+    the strokes stay within their limits and 1/kappa >= kappa_min_inv.
     """
     psi_axis = np.asarray(psi_axis, dtype=float)
     theta_axis = np.asarray(theta_axis, dtype=float)
     parasitic._check_tilt_bounds(np.abs(psi_axis).max(), np.abs(theta_axis).max())
+    if z0 is None:
+        z0 = home_height(params)
     rows = max(1, BLOCK_CELLS // theta_axis.size)
     values, status = [], []
     for start in range(0, psi_axis.size, rows):
@@ -345,6 +356,8 @@ def evaluate_grid(
         status.append(block[1])
     shape = (psi_axis.size, theta_axis.size, -1)
     return CellTable(
+        psi_axis=psi_axis,
+        theta_axis=theta_axis,
         values=np.concatenate(values).reshape(shape),
         status=np.concatenate(status).reshape(shape),
     )

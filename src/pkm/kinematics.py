@@ -139,12 +139,12 @@ def revolute_axis(params: MechanismParams, state: LimbState) -> np.ndarray:
     return state.s2_par if params.variant is Variant.Z3_PRS else state.s1_par
 
 
-def _euler_yxz(R: np.ndarray, degeneracy_tol: float = 1e-9) -> tuple[float, float, float]:
+def _euler_yxz(R: np.ndarray) -> tuple[float, float, float]:
     """Angles (a, b, c) with R = Ry(a) @ Rx(b) @ Rz(c)."""
     sb = -R[1, 2]
     sb = min(1.0, max(-1.0, sb))
     b = math.asin(sb)
-    if abs(abs(b) - 0.5 * math.pi) < degeneracy_tol:
+    if abs(abs(b) - 0.5 * math.pi) < 1e-9:
         raise GimbalDegeneracy(f"middle angle {b:.12g} rad is degenerate")
     a = math.atan2(R[0, 2], R[2, 2])
     c = math.atan2(R[1, 0], R[1, 1])

@@ -113,7 +113,8 @@ def _closure_residual(params: MechanismParams, psi: float, theta: float, u):
 
 
 def _check_tilt_bounds(psi: float, theta: float) -> None:
-    if abs(psi) > TILT_LIMIT or abs(theta) > TILT_LIMIT:
+    # negated, so that a NaN tilt fails too
+    if not (abs(psi) <= TILT_LIMIT and abs(theta) <= TILT_LIMIT):
         raise ValueError("tilt targets beyond 60 degrees are outside the supported range")
 
 
@@ -122,8 +123,6 @@ def solve_loop_closure(
     psi: float,
     theta: float,
     z: float | None = None,
-    tol: float = CLOSURE_TOL,
-    max_iter: int = CLOSURE_MAX_ITER,
 ) -> CompatiblePose:
     """Newton solve for the parasitic coordinates (x, y, gamma) at given tilts.
 
@@ -139,8 +138,8 @@ def solve_loop_closure(
     u = np.zeros(3)
     residual, jac = _closure_residual(params, psi, theta, u)
     norm = np.max(np.abs(residual))
-    converged = norm < tol
-    for _ in range(max_iter):
+    converged = norm < CLOSURE_TOL
+    for _ in range(CLOSURE_MAX_ITER):
         if converged:
             break
         try:
@@ -152,16 +151,16 @@ def solve_loop_closure(
             trial = u + scale * step
             trial_residual, trial_jac = _closure_residual(params, psi, theta, trial)
             trial_norm = np.max(np.abs(trial_residual))
-            if trial_norm < norm or trial_norm < tol:
+            if trial_norm < norm or trial_norm < CLOSURE_TOL:
                 break
             scale *= 0.5
         else:
             raise NoConvergence("damping exhausted without residual decrease", residual=norm)
         u, residual, jac, norm = trial, trial_residual, trial_jac, trial_norm
-        converged = norm < tol
+        converged = norm < CLOSURE_TOL
     if not converged:
         raise NoConvergence(
-            f"no convergence after {max_iter} iterations (residual {norm:.3g} mm)",
+            f"no convergence after {CLOSURE_MAX_ITER} iterations (residual {norm:.3g} mm)",
             residual=norm,
         )
     return _compatible_pose(psi, theta, z, u)
@@ -246,7 +245,7 @@ def parasitic_map(
     z: float | None = None,
 ) -> dict[str, SweepGrid]:
     """Parasitic displacement fields over a tilt grid, keyed by CSV column name."""
-    from .sweep import _evaluate_grid  # sweep imports this module
+    from .kernel import evaluate_grid  # the kernel imports this module
 
-    fields = _evaluate_grid(params, psi_axis, theta_axis, z, offsets=())
-    return {name: fields[name] for name in ("x_mm", "y_mm", "gamma_rad")}
+    table = evaluate_grid(params, psi_axis, theta_axis, z, offsets=())
+    return {name: table[name] for name in ("x_mm", "y_mm", "gamma_rad")}

@@ -129,9 +129,18 @@ def stiffness_map_rotational(
 ) -> dict[str, SweepGrid]:
     """Diagonal stiffness fields over the tilt grid, with the parasitic
     coordinates of every sample carried along for re-keying."""
-    from .sweep import _evaluate_grid, _stiffness_table  # sweep imports this module
+    from .kernel import evaluate_grid  # the kernel imports this module
 
-    return _stiffness_table(_evaluate_grid(params, psi_axis, theta_axis, z, stiffness=True))
+    return _stiffness_table(evaluate_grid(params, psi_axis, theta_axis, z, stiffness=True))
+
+
+def _stiffness_table(table) -> dict[str, SweepGrid]:
+    """Stiffness CSV columns of a CellTable: the parasitic translation, then the six measures."""
+    return {
+        "x_par_mm": table["x_mm"],
+        "y_par_mm": table["y_mm"],
+        **{name: table[name] for name in STIFFNESS_FIELDS},
+    }
 
 
 def stiffness_map_parasitic(

@@ -13,9 +13,9 @@ import numpy as np
 
 from .config import SweepSettings
 from .geometry import MechanismParams, home_height
-from .grids import SweepGrid, fmt12, grid_from_cells, tilt_axes, write_map_csv
-from .kernel import RECORD, evaluate_grid
-from .stiffness import STIFFNESS_FIELDS
+from .grids import SweepGrid, fmt12, tilt_axes, write_map_csv
+from .kernel import evaluate_grid
+from .stiffness import STIFFNESS_FIELDS, _stiffness_table
 from .svg import emit_heatmap_svg
 
 DEFAULT_HEAVE_OFFSETS = (0.0, -50.0, -100.0)
@@ -23,46 +23,6 @@ DEFAULT_HEAVE_OFFSETS = (0.0, -50.0, -100.0)
 _UNITS_NOTE = (
     "units: angles deg, lengths mm; kpx,kpy,kpz N/mm; kax,kay,kaz N*mm/rad; kappa dimensionless"
 )
-
-
-def _evaluate_grid(
-    params: MechanismParams,
-    psi_axis: np.ndarray,
-    theta_axis: np.ndarray,
-    z0: float | None = None,
-    offsets: tuple[float, ...] = (0.0,),
-    kappa_min_inv: float = 0.05,
-    stiffness: bool = False,
-) -> dict[str, SweepGrid]:
-    """Evaluate the per-cell chain closure -> IK -> Jacobian -> stiffness over a tilt grid.
-
-    The closure is solved once per cell at heave z0 (default: home height),
-    giving the fields x_mm, y_mm and gamma_rad.  For each heave offset, IK
-    and the Jacobian give inside_k: 1 where the strokes stay within their
-    limits and 1/kappa >= kappa_min_inv, else 0.  kappa, and with stiffness
-    the diagonal stiffness measures, are taken at the first offset; fields
-    of stages that were not run stay empty.  A cell whose stage fails with
-    one of CELL_ERRORS stays empty from that stage on, so its parasitic
-    fields survive a later failure.
-    """
-    if z0 is None:
-        z0 = home_height(params)
-    table = evaluate_grid(params, psi_axis, theta_axis, z0, offsets, kappa_min_inv, stiffness)
-    fields = {}
-    for n, name in enumerate([*RECORD, *(f"inside_{k}" for k in range(len(offsets)))]):
-        values = table.values[:, :, n]
-        mask = np.ones_like(values, dtype=bool) if name.startswith("inside_") else None
-        fields[name] = grid_from_cells(psi_axis, theta_axis, values, mask)
-    return fields
-
-
-def _stiffness_table(fields: dict[str, SweepGrid]) -> dict[str, SweepGrid]:
-    """Stiffness CSV columns: the parasitic translation, then the six measures."""
-    return {
-        "x_par_mm": fields["x_mm"],
-        "y_par_mm": fields["y_mm"],
-        **{name: fields[name] for name in STIFFNESS_FIELDS},
-    }
 
 
 def _area(grid: SweepGrid) -> float:
@@ -78,7 +38,7 @@ def condition_map(
     z: float | None = None,
 ) -> SweepGrid:
     """Homogenized condition number at the compatible pose of every cell."""
-    return _evaluate_grid(params, psi_axis, theta_axis, z)["kappa"]
+    return evaluate_grid(params, psi_axis, theta_axis, z)["kappa"]
 
 
 def workspace_slice(
@@ -94,7 +54,7 @@ def workspace_slice(
     limits and the conditioning clears 1/kappa >= kappa_min_inv.  The area
     is cell count times cell size, in rad^2.
     """
-    grid = _evaluate_grid(params, psi_axis, theta_axis, z, kappa_min_inv=kappa_min_inv)["inside_0"]
+    grid = evaluate_grid(params, psi_axis, theta_axis, z, kappa_min_inv=kappa_min_inv)["inside_0"]
     return grid, _area(grid)
 
 
@@ -203,16 +163,13 @@ def _stats(grid: SweepGrid) -> dict:
     return {"min": float(valid.min()), "max": float(valid.max()), "mean": float(valid.mean())}
 
 
-def _home_cell(psi_axis, theta_axis) -> tuple[int, int]:
-    return int(np.argmin(np.abs(psi_axis))), int(np.argmin(np.abs(theta_axis)))
-
-
-def _dominant_home_machine(fields_by_machine, psi_axis, theta_axis) -> str:
-    i, j = _home_cell(psi_axis, theta_axis)
+def _dominant_home_machine(tables) -> str:
+    psi_axis, theta_axis = tables["z3"].psi_axis, tables["z3"].theta_axis
+    i, j = int(np.argmin(np.abs(psi_axis))), int(np.argmin(np.abs(theta_axis)))
     winners = set()
     for name in STIFFNESS_FIELDS:
-        z3 = fields_by_machine["z3"][name].values[i, j]
-        a3 = fields_by_machine["a3"][name].values[i, j]
+        z3 = tables["z3"][name].values[i, j]
+        a3 = tables["a3"][name].values[i, j]
         if math.isnan(z3) or math.isnan(a3):
             return "undetermined"
         scale = max(abs(z3), abs(a3), 1.0)
@@ -238,8 +195,8 @@ def run_comparison(settings: CompareSettings) -> ComparisonReport:
     z0 = sweep.z_mm if sweep.z_mm is not None else home_height(z3)
     psi_axis, theta_axis = tilt_axes(sweep.grid_n, sweep.tilt_max_deg)
 
-    fields_by_machine = {
-        label: _evaluate_grid(
+    tables = {
+        label: evaluate_grid(
             params,
             psi_axis,
             theta_axis,
@@ -253,11 +210,11 @@ def run_comparison(settings: CompareSettings) -> ComparisonReport:
 
     metrics: dict = {}
     areas: dict = {}
-    for label, fields in fields_by_machine.items():
-        write_parasitic_figures(out_dir, label, fields)
-        write_condition_figures(out_dir, label, fields["kappa"])
+    for label, table in tables.items():
+        write_parasitic_figures(out_dir, label, table)
+        write_condition_figures(out_dir, label, table["kappa"])
         for k, dz in enumerate(settings.heave_offsets):
-            grid = fields[f"inside_{k}"]
+            grid = table[f"inside_{k}"]
             write_workspace_figures(
                 out_dir,
                 f"{label}_workspace_dz{fmt12(dz)}",
@@ -271,17 +228,17 @@ def run_comparison(settings: CompareSettings) -> ComparisonReport:
                 "max": area,
                 "mean": area,
             }
-        table = _stiffness_table(fields)
-        write_stiffness_figures(out_dir, label, table)
+        stiffness = _stiffness_table(table)
+        write_stiffness_figures(out_dir, label, stiffness)
         write_map_csv(
             out_dir / f"{label}_stiffness_parasitic.csv",
-            table,
+            stiffness,
             units_note=_UNITS_NOTE + "; rows keyed by (x_par_mm, y_par_mm)",
         )
         for name in ("x_mm", "y_mm", "gamma_rad", "kappa", *STIFFNESS_FIELDS):
-            metrics.setdefault(name, {})[label] = _stats(fields[name])
+            metrics.setdefault(name, {})[label] = _stats(table[name])
 
-    flags = _verdict_flags(fields_by_machine, areas, psi_axis, theta_axis)
+    flags = _verdict_flags(tables, areas)
     report = ComparisonReport(
         grid_n=sweep.grid_n,
         tilt_max_deg=sweep.tilt_max_deg,
@@ -295,9 +252,9 @@ def run_comparison(settings: CompareSettings) -> ComparisonReport:
     return report
 
 
-def _verdict_flags(fields_by_machine, areas, psi_axis, theta_axis) -> dict:
-    z3f = fields_by_machine["z3"]
-    a3f = fields_by_machine["a3"]
+def _verdict_flags(tables, areas) -> dict:
+    z3f = tables["z3"]
+    a3f = tables["a3"]
 
     both = z3f["x_mm"].mask & a3f["x_mm"].mask
     dx = np.abs(z3f["x_mm"].values - a3f["x_mm"].values)[both]
@@ -324,9 +281,7 @@ def _verdict_flags(fields_by_machine, areas, psi_axis, theta_axis) -> dict:
 
     return {
         "parasitic_fields_identical": parasitic_identical,
-        "stiffness_home_dominant": _dominant_home_machine(
-            fields_by_machine, psi_axis, theta_axis
-        ),
+        "stiffness_home_dominant": _dominant_home_machine(tables),
         "condition_peak_machine": condition_peak,
         "workspace_z3_height_invariant": z3_invariant,
         "workspace_a3_shrinks_with_height": a3_shrinks,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,9 @@ def test_sweep_settings_bounds():
         SweepSettings(tilt_max_deg=75.0)
     with pytest.raises(ConfigError):
         SweepSettings(kappa_min_inv=1.5)
+    for z_mm in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="z_mm must be finite"):
+            SweepSettings(z_mm=z_mm)
 
 
 def test_default_config_template_round_trips():
@@ -158,8 +163,16 @@ def test_cli_empty_stroke_interval_is_config_error(tmp_path, capsys, command):
 
 
 def test_cli_exit_code_tilt_bounds(capsys):
-    assert main(["ik", "--machine", "a3", "--psi-deg", "75"]) == 2
-    assert "60 degrees" in capsys.readouterr().err
+    for psi_deg in ("75", "nan"):
+        assert main(["ik", "--machine", "a3", "--psi-deg", psi_deg]) == 2
+        assert "60 degrees" in capsys.readouterr().err
+
+
+def test_cli_non_finite_heave_is_config_error(tmp_path, capsys):
+    out = tmp_path / "cmp"
+    assert main(["compare", "--grid", "3", "--z", "nan", "--out", str(out)]) == 2
+    assert "z_mm must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_requires_machine_without_config(capsys):

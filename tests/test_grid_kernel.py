@@ -155,3 +155,57 @@ def test_kernel_matches_scalar_chain_on_edge_grids(params, grid_n, tilt_max_deg,
     inside = table.values[..., N_RECORD:]
     if params.stroke_max is not None:
         assert 0.0 < inside.sum() < inside.size
+
+
+def test_table_columns_are_sweep_grids():
+    params = default_params(Variant.Z3_PRS)
+    psi_axis, theta_axis = tilt_axes(5, 30.0)
+    table = kernel.evaluate_grid(params, psi_axis, theta_axis, None, OFFSETS)
+    at_home = kernel.evaluate_grid(params, psi_axis, theta_axis, home_height(params), OFFSETS)
+    assert np.array_equal(table.values, at_home.values, equal_nan=True)
+    names = (*kernel.RECORD, *(f"inside_{k}" for k in range(len(OFFSETS))))
+    for n, name in enumerate(names):
+        grid = table[name]
+        assert np.array_equal(grid.psi_axis, psi_axis)
+        assert np.array_equal(grid.theta_axis, theta_axis)
+        assert np.array_equal(grid.values, table.values[..., n], equal_nan=True)
+        assert np.array_equal(grid.mask, ~np.isnan(table.values[..., n]))
+    with pytest.raises(KeyError):
+        table[f"inside_{len(OFFSETS)}"]
+
+
+# (grid_n, tilt_max_deg) of the whole-grid invariants
+INVARIANT_GRIDS = [(41, 40.0), (13, 60.0), (2, 40.0)]
+
+
+def parity_error(grid, axis, sign):
+    """Largest |f - sign * f mirrored along axis| over the valid cells, in units of max |f|."""
+    values = grid.values
+    mirrored = sign * np.flip(values, axis)
+    assert np.array_equal(grid.mask, np.flip(grid.mask, axis))
+    return np.abs(values - mirrored)[grid.mask].max() / np.abs(values[grid.mask]).max()
+
+
+@pytest.mark.parametrize("grid_n, tilt_max_deg", INVARIANT_GRIDS)
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_grid_mirror_parity(variant, grid_n, tilt_max_deg):
+    # x is even in psi and in theta, y and gamma are odd in each; kappa is
+    # even in psi only, because limb 1 sits on the x axis
+    table = kernel.evaluate_grid(default_params(variant), *tilt_axes(grid_n, tilt_max_deg))
+    assert np.all(table.status == CellStatus.OK)
+    for name, sign in (("x_mm", 1.0), ("y_mm", -1.0), ("gamma_rad", -1.0)):
+        for axis in (0, 1):
+            assert parity_error(table[name], axis, sign) <= 1e-12, (name, axis)
+    assert parity_error(table["kappa"], 0, 1.0) <= 1e-12
+    assert parity_error(table["kappa"], 1, 1.0) > 1e-6
+
+
+@pytest.mark.parametrize("grid_n, tilt_max_deg", INVARIANT_GRIDS)
+def test_grid_parasitics_shared_and_z3_kappa_heave_free(grid_n, tilt_max_deg):
+    z3, a3 = default_params(Variant.Z3_PRS), default_params(Variant.A3_RPS)
+    axes = tilt_axes(grid_n, tilt_max_deg)
+    table = kernel.evaluate_grid(z3, *axes)
+    assert np.array_equal(table.values[..., :3], kernel.evaluate_grid(a3, *axes).values[..., :3])
+    lowered = kernel.evaluate_grid(z3, *axes, home_height(z3) - 100.0)
+    assert np.array_equal(lowered.values[..., :3], table.values[..., :3])
+    assert np.array_equal(lowered["kappa"].values, table["kappa"].values)

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import parasitic_second_order
+from pkm import parasitic
 from pkm.errors import NoConvergence, UnreachablePose
 from pkm.geometry import MechanismParams, Pose, Variant, home_height, rot_z
 from pkm.grids import tilt_axes
 from pkm.jacobian import build_jacobian
+from pkm.kernel import evaluate_grid
 from pkm.kinematics import inverse_kinematics, limb_frame_coords
 from pkm.parasitic import (
     coupling_matrices,
@@ -140,16 +142,19 @@ def test_integration_step_count_validation(params):
 
 
 def test_tilt_bounds_enforced(params):
-    beyond = math.radians(61.0)
-    with pytest.raises(ValueError):
-        solve_loop_closure(params, beyond, 0.0)
-    with pytest.raises(ValueError):
-        integrate_parasitic_path(params, 0.0, beyond)
+    for beyond in (math.radians(61.0), math.nan):
+        with pytest.raises(ValueError):
+            solve_loop_closure(params, beyond, 0.0)
+        with pytest.raises(ValueError):
+            integrate_parasitic_path(params, 0.0, beyond)
+        with pytest.raises(ValueError):
+            evaluate_grid(params, np.array([0.0, beyond]), np.zeros(1), home_height(params))
 
 
-def test_no_convergence_carries_residual(params):
+def test_no_convergence_carries_residual(params, monkeypatch):
+    monkeypatch.setattr(parasitic, "CLOSURE_MAX_ITER", 1)
     with pytest.raises(NoConvergence) as excinfo:
-        solve_loop_closure(params, 0.6, -0.6, max_iter=1)
+        solve_loop_closure(params, 0.6, -0.6)
     assert excinfo.value.residual is not None
     assert excinfo.value.residual > 0.0
 
