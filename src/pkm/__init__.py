@@ -43,7 +43,7 @@ from .geometry import (
     orientation_from_tilts,
     pose_from_tilts,
 )
-from .grids import SweepGrid, grid_from_cells, read_map_csv, tilt_axes, write_map_csv
+from .grids import SweepGrid, read_map_csv, tilt_axes, write_map_csv
 from .jacobian import (
     JacobianSet,
     build_jacobian,
@@ -125,7 +125,6 @@ __all__ = [
     "default_params",
     "deflection_under_load",
     "emit_heatmap_svg",
-    "grid_from_cells",
     "home_height",
     "home_pose",
     "homogenized_jacobian",

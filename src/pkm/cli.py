@@ -1,7 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 configuration problems, 3 numerical failures
-(unreachable pose, singular configuration, diverged solve).
+Exit codes: 0 success, 2 configuration or output directory problems, 3
+numerical failures (unreachable pose, singular configuration, diverged solve).
 """
 from __future__ import annotations
 
@@ -244,6 +244,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
 
 

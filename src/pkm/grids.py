@@ -1,8 +1,8 @@
 """Tilt-space sweep grids and their CSV serialization.
 
 Scalar fields are sampled on a rectangular (psi, theta) grid, row-major
-with psi as the outer axis.  Cells whose evaluation failed are masked out
-and serialize as empty CSV fields, never as sentinel numbers.  Floats are
+with psi as the outer axis.  Cells whose evaluation failed hold NaN and
+serialize as empty CSV fields, never as sentinel numbers.  Floats are
 written as decimal text with 12 significant digits, which re-parses and
 re-emits byte-identically.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,28 +19,36 @@ def fmt12(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _frozen(array) -> np.ndarray:
+    """array as read-only floats: itself if it is read-only already, else a frozen copy."""
+    array = np.asarray(array, dtype=float)
+    if array.flags.writeable:
+        array = array.copy()
+        array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class SweepGrid:
-    """One scalar field over a tilt grid; mask is True where the cell is valid."""
+    """One scalar field over a tilt grid, frozen; a non-finite value marks a missing cell."""
 
     psi_axis: np.ndarray
     theta_axis: np.ndarray
     values: np.ndarray
-    mask: np.ndarray
+    mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        psi = np.asarray(self.psi_axis, dtype=float)
-        theta = np.asarray(self.theta_axis, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        mask = np.asarray(self.mask, dtype=bool)
+        psi = _frozen(self.psi_axis)
+        theta = _frozen(self.theta_axis)
+        values = _frozen(self.values)
         if psi.ndim != 1 or theta.ndim != 1:
             raise ValueError("axes must be one-dimensional")
         if np.any(np.diff(psi) <= 0.0) or np.any(np.diff(theta) <= 0.0):
             raise ValueError("axes must be strictly increasing")
-        if values.shape != (psi.size, theta.size) or mask.shape != values.shape:
+        if values.shape != (psi.size, theta.size):
             raise ValueError("field shape must be (len(psi_axis), len(theta_axis))")
-        for a in (psi, theta, values, mask):
-            a.setflags(write=False)
+        mask = np.isfinite(values)
+        mask.setflags(write=False)
         object.__setattr__(self, "psi_axis", psi)
         object.__setattr__(self, "theta_axis", theta)
         object.__setattr__(self, "values", values)
@@ -48,13 +56,6 @@ class SweepGrid:
 
     def valid_values(self) -> np.ndarray:
         return self.values[self.mask]
-
-
-def grid_from_cells(psi_axis, theta_axis, values, mask=None) -> SweepGrid:
-    values = np.asarray(values, dtype=float)
-    if mask is None:
-        mask = np.isfinite(values)
-    return SweepGrid(psi_axis=psi_axis, theta_axis=theta_axis, values=values, mask=mask)
 
 
 def tilt_axes(n: int, max_deg: float) -> tuple[np.ndarray, np.ndarray]:

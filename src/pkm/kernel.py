@@ -20,7 +20,7 @@ import numpy as np
 from . import parasitic
 from .errors import CellStatus
 from .geometry import MechanismParams, Variant, home_height
-from .grids import SweepGrid, grid_from_cells
+from .grids import SweepGrid
 from .jacobian import RANK_TOL, SINGULAR_LIMB_TOL, SINGULAR_TOL
 from .kinematics import CONSTRAINT_TOL, HINGE_TOL
 from .parasitic import CLOSURE_MAX_ITER, CLOSURE_TOL, DAMPING_TRIES
@@ -54,7 +54,7 @@ class CellTable:
     def __getitem__(self, name: str) -> SweepGrid:
         offsets = self.values.shape[2] - len(RECORD)
         columns = {c: n for n, c in enumerate((*RECORD, *(f"inside_{k}" for k in range(offsets))))}
-        return grid_from_cells(self.psi_axis, self.theta_axis, self.values[:, :, columns[name]])
+        return SweepGrid(self.psi_axis, self.theta_axis, self.values[:, :, columns[name]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,7 +286,6 @@ def _evaluate_cells(
     z0: float,
     offsets: tuple[float, ...],
     kappa_min_inv: float,
-    stiffness: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Records (N, len(RECORD) + len(offsets)) and status codes of a stack of cells."""
     values = np.full((psi.size, len(RECORD) + len(offsets)), np.nan)
@@ -307,10 +306,9 @@ def _evaluate_cells(
         ok = cell_status == OK
         if k == 0:
             values[ok, 3] = kappa[ok]
-            if stiffness:
-                values[ok, 4 : len(RECORD)] = _stiffness_diagonal(
-                    params, G[ok], limbs.l1[ok], limbs.revolute
-                )
+            values[ok, 4 : len(RECORD)] = _stiffness_diagonal(
+                params, G[ok], limbs.l1[ok], limbs.revolute
+            )
         strokes_ok = ((lo <= limbs.length) & (limbs.length <= hi)).all(axis=1)
         values[:, len(RECORD) + k] = ok & strokes_ok & (1.0 / kappa >= kappa_min_inv)
         status[:, 1 + k] = cell_status
@@ -324,18 +322,18 @@ def evaluate_grid(
     z0: float | None = None,
     offsets: tuple[float, ...] = (0.0,),
     kappa_min_inv: float = 0.05,
-    stiffness: bool = False,
 ) -> CellTable:
     """Run the cell chain over a tilt grid in blocks of whole psi rows.
 
     The closure is solved once per cell; IK and the Jacobian run at heave
-    z0 + dz for each offset, with z0 the home height by default.  kappa
-    and, with stiffness, the diagonal stiffness measures are taken at the
-    first offset.  inside_k is 1 where the chain succeeded at offset k,
-    the strokes stay within their limits and 1/kappa >= kappa_min_inv.
+    z0 + dz for each offset, z0 the home height by default, and kappa and
+    the stiffness diagonal come from the first (offsets=() solves only the
+    closure).  inside_k is 1 where the chain succeeded at offset k, the
+    strokes are within their limits and 1/kappa >= kappa_min_inv.  The
+    table's arrays, axis copies included, are read-only.
     """
-    psi_axis = np.asarray(psi_axis, dtype=float)
-    theta_axis = np.asarray(theta_axis, dtype=float)
+    psi_axis = np.array(psi_axis, dtype=float)
+    theta_axis = np.array(theta_axis, dtype=float)
     parasitic._check_tilt_bounds(np.abs(psi_axis).max(), np.abs(theta_axis).max())
     if z0 is None:
         z0 = home_height(params)
@@ -350,14 +348,13 @@ def evaluate_grid(
             z0,
             offsets,
             kappa_min_inv,
-            stiffness,
         )
         values.append(block[0])
         status.append(block[1])
     shape = (psi_axis.size, theta_axis.size, -1)
-    return CellTable(
-        psi_axis=psi_axis,
-        theta_axis=theta_axis,
-        values=np.concatenate(values).reshape(shape),
-        status=np.concatenate(status).reshape(shape),
-    )
+    values = np.concatenate(values).reshape(shape)
+    status = np.concatenate(status).reshape(shape)
+    for a in (psi_axis, theta_axis, values, status):
+        # read-only, so that the SweepGrid columns share them without a copy
+        a.setflags(write=False)
+    return CellTable(psi_axis, theta_axis, values, status)

@@ -131,7 +131,7 @@ def stiffness_map_rotational(
     coordinates of every sample carried along for re-keying."""
     from .kernel import evaluate_grid  # the kernel imports this module
 
-    return _stiffness_table(evaluate_grid(params, psi_axis, theta_axis, z, stiffness=True))
+    return _stiffness_table(evaluate_grid(params, psi_axis, theta_axis, z))
 
 
 def _stiffness_table(table) -> dict[str, SweepGrid]:

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SweepSettings
+from .errors import ConfigError
 from .geometry import MechanismParams, home_height
 from .grids import SweepGrid, fmt12, tilt_axes, write_map_csv
 from .kernel import evaluate_grid
@@ -118,6 +119,10 @@ class CompareSettings:
     # accepted and ignored: the cells are evaluated in one process
     workers: int = 1
 
+    def __post_init__(self):
+        if not self.heave_offsets or not all(map(math.isfinite, self.heave_offsets)):
+            raise ConfigError("heave_offsets must be one or more finite offsets")
+
 
 @dataclass(frozen=True)
 class ComparisonReport:
@@ -197,13 +202,7 @@ def run_comparison(settings: CompareSettings) -> ComparisonReport:
 
     tables = {
         label: evaluate_grid(
-            params,
-            psi_axis,
-            theta_axis,
-            z0,
-            settings.heave_offsets,
-            sweep.kappa_min_inv,
-            stiffness=True,
+            params, psi_axis, theta_axis, z0, settings.heave_offsets, sweep.kappa_min_inv
         )
         for label, params in (("z3", z3), ("a3", a3))
     }

@@ -175,6 +175,19 @@ def test_cli_non_finite_heave_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_unusable_out_is_input_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    for command in (
+        ["condition-map", "--machine", "z3", "--grid", "3", "--out", str(taken)],
+        ["compare", "--grid", "3", "--out", str(taken / "sub")],
+    ):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+    assert taken.read_text(encoding="utf-8") == ""
+
+
 def test_cli_requires_machine_without_config(capsys):
     assert main(["ik"]) == 2
     assert "no machine selected" in capsys.readouterr().err

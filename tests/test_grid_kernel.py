@@ -5,6 +5,7 @@ build_jacobian -> assemble_stiffness on every cell and records which of
 CELL_ERRORS each stage raises.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,9 +63,7 @@ def scalar_table(params, psi_axis, theta_axis, z0):
 
 
 def assert_matches_scalar(params, psi_axis, theta_axis, z0):
-    table = kernel.evaluate_grid(
-        params, psi_axis, theta_axis, z0, OFFSETS, KAPPA_MIN_INV, stiffness=True
-    )
+    table = kernel.evaluate_grid(params, psi_axis, theta_axis, z0, OFFSETS, KAPPA_MIN_INV)
     values, errors = scalar_table(params, psi_axis, theta_axis, z0)
     # CellStatus code k > 0 stands for CELL_ERRORS[k - 1]
     mapped = np.array((None, *CELL_ERRORS), dtype=object)[table.status]
@@ -133,6 +132,10 @@ def test_kernel_matches_scalar_chain_on_stock_grid(variant):
             0.0,
             {"UNREACHABLE", "SINGULAR_CONFIGURATION"},
         ),
+        # links just longer than r_base - r_platform: the rail head closes
+        # only near home, the struts stretch to reach every cell
+        (MechanismParams(Variant.Z3_PRS, link_length=100.001), 5, 30.0, None, {"UNREACHABLE"}),
+        (MechanismParams(Variant.A3_RPS, link_length=100.001), 5, 30.0, None, set()),
     ],
     ids=[
         "short-link",
@@ -144,6 +147,8 @@ def test_kernel_matches_scalar_chain_on_stock_grid(variant):
         "clustered-limbs",
         "flat-struts",
         "coincident-hinge",
+        "z3-near-short-link",
+        "a3-near-short-link",
     ],
 )
 def test_kernel_matches_scalar_chain_on_edge_grids(params, grid_n, tilt_max_deg, z0, expected):
@@ -155,6 +160,21 @@ def test_kernel_matches_scalar_chain_on_edge_grids(params, grid_n, tilt_max_deg,
     inside = table.values[..., N_RECORD:]
     if params.stroke_max is not None:
         assert 0.0 < inside.sum() < inside.size
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_stroke_limits_are_inclusive(variant):
+    # at the home cell the rail slides sit at exactly 0 and the struts at
+    # exactly link_length: a limit there keeps the cell inside, and the
+    # next float inward of it puts the cell outside
+    params = default_params(variant)
+    home = 0.0 if variant is Variant.Z3_PRS else params.link_length
+    axes = tilt_axes(3, 10.0)
+    for name, inward in (("stroke_max", -math.inf), ("stroke_min", math.inf)):
+        for limit, inside in ((home, 1.0), (np.nextafter(home, inward), 0.0)):
+            limited = replace(params, **{name: limit})
+            table = assert_matches_scalar(limited, *axes, home_height(limited))
+            assert table["inside_0"].values[1, 1] == inside, (name, limit)
 
 
 def test_table_columns_are_sweep_grids():

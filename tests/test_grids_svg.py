@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pkm.grids import SweepGrid, fmt12, grid_from_cells, read_map_csv, tilt_axes, write_map_csv
+from pkm.grids import SweepGrid, fmt12, read_map_csv, tilt_axes, write_map_csv
 from pkm.svg import emit_heatmap_svg, palette_color
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -38,12 +38,10 @@ def test_tilt_axes_shape():
 def test_grid_validation():
     psi, theta = tilt_axes(3, 10.0)
     with pytest.raises(ValueError):
-        SweepGrid(psi_axis=psi, theta_axis=theta, values=np.zeros((3, 4)), mask=np.ones((3, 4), bool))
+        SweepGrid(psi_axis=psi, theta_axis=theta, values=np.zeros((3, 4)))
     with pytest.raises(ValueError):
-        SweepGrid(psi_axis=psi[::-1], theta_axis=theta, values=np.zeros((3, 3)), mask=np.ones((3, 3), bool))
-    with pytest.raises(ValueError):
-        SweepGrid(psi_axis=psi, theta_axis=theta, values=np.zeros((3, 3)), mask=np.ones((4, 3), bool))
-    grid = grid_from_cells(psi, theta, np.arange(9.0).reshape(3, 3))
+        SweepGrid(psi_axis=psi[::-1], theta_axis=theta, values=np.zeros((3, 3)))
+    grid = SweepGrid(psi, theta, np.arange(9.0).reshape(3, 3))
     with pytest.raises(ValueError):
         grid.values[0, 0] = 7.0
 
@@ -51,9 +49,23 @@ def test_grid_validation():
 def test_grid_from_cells_masks_nan():
     psi, theta = tilt_axes(2, 5.0)
     values = np.array([[1.0, np.nan], [3.0, 4.0]])
-    grid = grid_from_cells(psi, theta, values)
+    grid = SweepGrid(psi, theta, values)
     assert grid.mask.tolist() == [[True, False], [True, True]]
     assert sorted(grid.valid_values()) == [1.0, 3.0, 4.0]
+
+
+def test_grid_freezes_copies_of_writable_inputs():
+    psi, theta = tilt_axes(2, 5.0)
+    values = np.array([[1.0, 2.0], [3.0, 4.0]])
+    grid = SweepGrid(psi, theta, values)
+    # the caller's arrays stay writable, and writing them leaves the grid as it was
+    values[0, 0] = psi[0] = 9.0
+    assert grid.values[0, 0] == 1.0 and grid.psi_axis[0] == theta[0]
+    assert not (grid.psi_axis.flags.writeable or grid.values.flags.writeable)
+    assert not grid.mask.flags.writeable
+    # read-only inputs are shared, not copied
+    again = SweepGrid(grid.psi_axis, grid.theta_axis, grid.values)
+    assert again.values is grid.values and again.psi_axis is grid.psi_axis
 
 
 def _sample_fields(rng):
@@ -61,8 +73,8 @@ def _sample_fields(rng):
     values = rng.uniform(-1e4, 1e4, size=(4, 4))
     values[1, 2] = np.nan
     values[3, 0] = np.nan
-    a = grid_from_cells(psi, theta, values)
-    b = grid_from_cells(psi, theta, rng.standard_normal((4, 4)) * 1e-7)
+    a = SweepGrid(psi, theta, values)
+    b = SweepGrid(psi, theta, rng.standard_normal((4, 4)) * 1e-7)
     return {"alpha": a, "beta": b}
 
 
@@ -86,7 +98,7 @@ def test_csv_write_read_write_is_stable(tmp_path, rng):
         for idx, row in enumerate(rows):
             if row[col] is not None:
                 values[idx // 4, idx % 4] = row[col]
-        rebuilt[name] = grid_from_cells(psi, theta, values)
+        rebuilt[name] = SweepGrid(psi, theta, values)
     second = tmp_path / "again.csv"
     write_map_csv(second, rebuilt, units_note="units: test")
     assert first.read_bytes() == second.read_bytes()
@@ -103,8 +115,8 @@ def test_csv_units_note_and_line_endings(tmp_path, rng):
 def test_csv_requires_matching_axes(tmp_path, rng):
     psi, theta = tilt_axes(3, 10.0)
     other_psi, other_theta = tilt_axes(3, 20.0)
-    a = grid_from_cells(psi, theta, np.zeros((3, 3)))
-    b = grid_from_cells(other_psi, other_theta, np.zeros((3, 3)))
+    a = SweepGrid(psi, theta, np.zeros((3, 3)))
+    b = SweepGrid(other_psi, other_theta, np.zeros((3, 3)))
     with pytest.raises(ValueError):
         write_map_csv(tmp_path / "bad.csv", {"a": a, "b": b})
     with pytest.raises(ValueError):
@@ -123,7 +135,7 @@ def test_palette_endpoints_and_clamp():
 
 def test_heatmap_svg_structure(tmp_path):
     psi, theta = tilt_axes(2, 10.0)
-    grid = grid_from_cells(psi, theta, np.array([[0.0, 1.0], [2.0, np.nan]]))
+    grid = SweepGrid(psi, theta, np.array([[0.0, 1.0], [2.0, np.nan]]))
     path = tmp_path / "map.svg"
     emit_heatmap_svg(grid, "viridis", path, title="demo", value_label="mm")
     text = path.read_text(encoding="utf-8")
@@ -142,7 +154,7 @@ def test_heatmap_svg_is_deterministic(tmp_path, rng):
     psi, theta = tilt_axes(5, 25.0)
     values = rng.standard_normal((5, 5))
     values[0, 3] = np.nan
-    grid = grid_from_cells(psi, theta, values)
+    grid = SweepGrid(psi, theta, values)
     p1 = tmp_path / "one.svg"
     p2 = tmp_path / "two.svg"
     emit_heatmap_svg(grid, "coolwarm", p1, title="t", value_label="v")
@@ -152,7 +164,7 @@ def test_heatmap_svg_is_deterministic(tmp_path, rng):
 
 def test_heatmap_svg_constant_field(tmp_path):
     psi, theta = tilt_axes(2, 10.0)
-    grid = grid_from_cells(psi, theta, np.full((2, 2), 3.5))
+    grid = SweepGrid(psi, theta, np.full((2, 2), 3.5))
     path = tmp_path / "flat.svg"
     emit_heatmap_svg(grid, "viridis", path)
     text = path.read_text(encoding="utf-8")

@@ -6,7 +6,7 @@ import pytest
 
 from pkm import kernel
 from pkm.config import SweepSettings
-from pkm.errors import CELL_ERRORS
+from pkm.errors import CELL_ERRORS, ConfigError
 from pkm.geometry import (
     MechanismParams,
     Variant,
@@ -167,6 +167,32 @@ def test_comparison_worker_count_does_not_change_bytes(tmp_path):
     names = sorted(p.name for p in serial.iterdir())
     match, mismatch, errors = filecmp.cmpfiles(serial, forked, names, shallow=False)
     assert mismatch == [] and errors == []
+
+
+@pytest.mark.parametrize("offsets", [(), (0.0, math.nan)], ids=["empty", "nan"])
+def test_compare_settings_reject_bad_heave_offsets(tmp_path, offsets):
+    out = tmp_path / "bundle"
+    with pytest.raises(ConfigError, match="heave_offsets"):
+        CompareSettings(
+            params_z3=default_params(Variant.Z3_PRS),
+            params_a3=default_params(Variant.A3_RPS),
+            out_dir=out,
+            sweep=SMALL,
+            heave_offsets=offsets,
+        )
+    assert not out.exists()
+
+
+def test_map_calls_leave_caller_axes_writable(z3_params):
+    psi_axis, theta_axis = tilt_axes(3, 20.0)
+    for sweep_map in (parasitic_map, condition_map, workspace_slice, stiffness_map_rotational):
+        sweep_map(z3_params, psi_axis, theta_axis)
+        assert psi_axis.flags.writeable and theta_axis.flags.writeable
+    grid = condition_map(z3_params, psi_axis, theta_axis)
+    before = psi_axis.copy()
+    psi_axis[0] = -1.0
+    assert np.array_equal(grid.psi_axis, before)
+    assert not grid.psi_axis.flags.writeable
 
 
 @pytest.mark.parametrize("error", CELL_ERRORS, ids=lambda error: error.__name__)
