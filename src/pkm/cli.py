@@ -131,30 +131,26 @@ def _cmd_jacobian(args) -> int:
 
 
 def _map_inputs(args):
+    """The machine, sweep settings, axes and --out, which is created before any sweep runs."""
     params, entries = _single_machine(args)
     settings = _sweep_settings(args, entries)
-    return params, settings, *tilt_axes(settings.grid_n, settings.tilt_max_deg)
-
-
-def _out_dir(args) -> Path:
+    psi_axis, theta_axis = tilt_axes(settings.grid_n, settings.tilt_max_deg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return params, settings, psi_axis, theta_axis, out
 
 
 def _cmd_parasitic_map(args) -> int:
-    params, settings, psi_axis, theta_axis = _map_inputs(args)
+    params, settings, psi_axis, theta_axis, out = _map_inputs(args)
     fields = parasitic_map(params, psi_axis, theta_axis, settings.z_mm)
-    out = _out_dir(args)
     write_parasitic_figures(out, params.variant.value, fields, _UNITS_NOTE)
     print(f"wrote parasitic map ({settings.grid_n} x {settings.grid_n}) to {out}")
     return 0
 
 
 def _cmd_condition_map(args) -> int:
-    params, settings, psi_axis, theta_axis = _map_inputs(args)
+    params, settings, psi_axis, theta_axis, out = _map_inputs(args)
     grid = condition_map(params, psi_axis, theta_axis, settings.z_mm)
-    out = _out_dir(args)
     write_condition_figures(out, params.variant.value, grid, _UNITS_NOTE)
     valid = grid.valid_values()
     if valid.size:
@@ -164,11 +160,10 @@ def _cmd_condition_map(args) -> int:
 
 
 def _cmd_workspace(args) -> int:
-    params, settings, psi_axis, theta_axis = _map_inputs(args)
+    params, settings, psi_axis, theta_axis, out = _map_inputs(args)
     grid, area = workspace_slice(
         params, psi_axis, theta_axis, settings.z_mm, settings.kappa_min_inv
     )
-    out = _out_dir(args)
     label = params.variant.value
     write_workspace_figures(out, f"{label}_workspace", f"{label} workspace", grid, _UNITS_NOTE)
     print(f"workspace area: {fmt12(area)} rad^2")
@@ -177,9 +172,8 @@ def _cmd_workspace(args) -> int:
 
 
 def _cmd_stiffness_map(args) -> int:
-    params, settings, psi_axis, theta_axis = _map_inputs(args)
+    params, settings, psi_axis, theta_axis, out = _map_inputs(args)
     fields = stiffness_map_rotational(params, psi_axis, theta_axis, settings.z_mm)
-    out = _out_dir(args)
     write_stiffness_figures(out, params.variant.value, fields, _UNITS_NOTE)
     print(f"wrote stiffness maps to {out}")
     return 0

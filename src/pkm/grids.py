@@ -78,17 +78,25 @@ def write_map_csv(path, fields: dict[str, SweepGrid], units_note: str | None = N
             and np.array_equal(grid.theta_axis, first.theta_axis)
         ):
             raise ValueError("all fields must share the same axes")
+    psi_labels = [fmt12(math.degrees(psi)) for psi in first.psi_axis.tolist()]
+    theta_labels = [fmt12(math.degrees(theta)) for theta in first.theta_axis.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if units_note:
             fh.write(f"# {units_note}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["psi_deg", "theta_deg", *fields.keys()])
-        for i, psi in enumerate(first.psi_axis):
-            for j, theta in enumerate(first.theta_axis):
-                row = [fmt12(math.degrees(psi)), fmt12(math.degrees(theta))]
-                for grid in grids:
-                    row.append(fmt12(grid.values[i, j]) if grid.mask[i, j] else "")
-                writer.writerow(row)
+        # the writer quotes field names as needed; numbers and empty fields need no quotes
+        csv.writer(fh, lineterminator="\n").writerow(["psi_deg", "theta_deg", *fields.keys()])
+        for i, psi in enumerate(psi_labels):
+            columns = [
+                [
+                    f"{v:.12g}" if ok else ""
+                    for v, ok in zip(grid.values[i].tolist(), grid.mask[i].tolist())
+                ]
+                for grid in grids
+            ]
+            fh.writelines(
+                f"{psi},{theta},{','.join(cells)}\n"
+                for theta, cells in zip(theta_labels, zip(*columns))
+            )
 
 
 def read_map_csv(path) -> tuple[list[str], list[list[float | None]]]:

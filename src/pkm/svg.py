@@ -56,6 +56,27 @@ def palette_color(palette: str, t: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
+def _palette_codes(palette: str, values: np.ndarray, vmin: float, span: float) -> np.ndarray:
+    """0xRRGGBB of palette_color at every finite value's fraction of the span, -1 elsewhere.
+
+    The same float operations in the same order as palette_color, so the
+    colours agree bit for bit; np.rint rounds half to even, like round.
+    """
+    stops = _PALETTES.get(palette)
+    if stops is None:
+        raise ValueError(f"unknown palette {palette!r}")
+    stops = np.array(stops, dtype=float)
+    t = (values - vmin) / span if span > 0.0 else np.full(values.shape, 0.5)
+    # min(1.0, max(0.0, t)): max's first argument wins over NaN
+    t = np.minimum(np.fmax(t, 0.0), 1.0)
+    position = t * (len(stops) - 1)
+    low = np.floor(position).astype(int)
+    high = np.minimum(low + 1, len(stops) - 1)
+    rgb = np.rint(stops[low] + (position - low)[..., None] * (stops[high] - stops[low])).astype(int)
+    codes = (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
+    return np.where(np.isfinite(values), codes, -1)
+
+
 def _axis_ticks(axis_rad: np.ndarray) -> list[tuple[float, str]]:
     lo, hi = math.degrees(axis_rad[0]), math.degrees(axis_rad[-1])
     return [(0.0, f"{lo:.4g}"), (0.5, f"{(lo + hi) / 2.0:.4g}"), (1.0, f"{hi:.4g}")]
@@ -99,21 +120,8 @@ def emit_heatmap_svg(
             f'font-size="15" text-anchor="middle">{title}</text>'
         )
 
-    for i in range(n_psi):
-        x = _MARGIN_L + i * cw
-        for j in range(n_theta):
-            # theta grows upward, SVG y grows downward
-            y = _MARGIN_T + _PLOT_H - (j + 1) * ch
-            if grid.mask[i, j]:
-                t = (grid.values[i, j] - vmin) / span if span > 0.0 else 0.5
-                fill = palette_color(palette, t)
-            else:
-                fill = "url(#miss)"
-            out.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw + 0.05:.2f}" '
-                f'height="{ch + 0.05:.2f}" fill="{fill}"/>'
-            )
-
+    # the cell rows go here, streamed while the file is written
+    cells_at = len(out)
     out.append(
         f'<rect x="{_MARGIN_L:.2f}" y="{_MARGIN_T:.2f}" width="{_PLOT_W:.2f}" '
         f'height="{_PLOT_H:.2f}" fill="none" stroke="#333333" stroke-width="1"/>'
@@ -169,6 +177,22 @@ def emit_heatmap_svg(
             f'font-family="sans-serif" font-size="12" text-anchor="middle">{value_label}</text>'
         )
     out.append("</svg>")
+
+    codes = _palette_codes(palette, grid.values, vmin, span)
+    # theta grows upward, SVG y grows downward
+    columns = [
+        f'{_MARGIN_T + _PLOT_H - (j + 1) * ch:.2f}" width="{cw + 0.05:.2f}" '
+        f'height="{ch + 0.05:.2f}" fill="'
+        for j in range(n_theta)
+    ]
+    fills = {-1: "url(#miss)"}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out))
-        fh.write("\n")
+        fh.writelines(f"{line}\n" for line in out[:cells_at])
+        for i in range(n_psi):
+            row = codes[i].tolist()
+            fills.update((code, f"#{code:06x}") for code in set(row).difference(fills))
+            prefix = f'<rect x="{_MARGIN_L + i * cw:.2f}" y="'
+            fh.writelines(
+                f'{prefix}{column}{fills[code]}"/>\n' for column, code in zip(columns, row)
+            )
+        fh.writelines(f"{line}\n" for line in out[cells_at:])

@@ -122,6 +122,9 @@ class CompareSettings:
     def __post_init__(self):
         if not self.heave_offsets or not all(map(math.isfinite, self.heave_offsets)):
             raise ConfigError("heave_offsets must be one or more finite offsets")
+        # each offset names its workspace files and metric; 0.0 == -0.0 in the set
+        if len(set(self.heave_offsets)) != len(self.heave_offsets):
+            raise ConfigError("heave_offsets must not repeat an offset")
 
 
 @dataclass(frozen=True)

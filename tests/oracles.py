@@ -6,6 +6,9 @@ rather than tautology.
 """
 from __future__ import annotations
 
+import csv
+import math
+
 import numpy as np
 import scipy.linalg
 from scipy.spatial.transform import Rotation
@@ -103,3 +106,50 @@ def ik_a3_reference(r_base, r_platform, p, R):
 def euler_yxz_reference(R):
     """Angles (a, b, c) with R = Ry(a) @ Rx(b) @ Rz(c), via scipy."""
     return Rotation.from_matrix(R).as_euler("YXZ")
+
+
+def heatmap_cells_reference(grid, palette):
+    """The heatmap's cell <rect> lines, cell by cell with one palette_color
+    call each; palette_color is the scalar colour reference."""
+    from pkm.svg import palette_color
+
+    margin_l, margin_t, plot = 64.0, 34.0, 484.0
+    n_psi, n_theta = grid.values.shape
+    cw = plot / n_psi
+    ch = plot / n_theta
+    valid = grid.values[np.isfinite(grid.values)]
+    vmin, vmax = (float(valid.min()), float(valid.max())) if valid.size else (0.0, 0.0)
+    span = vmax - vmin
+    lines = []
+    for i in range(n_psi):
+        x = margin_l + i * cw
+        for j in range(n_theta):
+            y = margin_t + plot - (j + 1) * ch
+            if np.isfinite(grid.values[i, j]):
+                t = (grid.values[i, j] - vmin) / span if span > 0.0 else 0.5
+                fill = palette_color(palette, t)
+            else:
+                fill = "url(#miss)"
+            lines.append(
+                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw + 0.05:.2f}" '
+                f'height="{ch + 0.05:.2f}" fill="{fill}"/>'
+            )
+    return lines
+
+
+def write_map_csv_reference(path, fields, units_note=None):
+    """The map CSV, one csv.writer row per cell."""
+    grids = list(fields.values())
+    first = grids[0]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if units_note:
+            fh.write(f"# {units_note}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["psi_deg", "theta_deg", *fields.keys()])
+        for i, psi in enumerate(first.psi_axis):
+            for j, theta in enumerate(first.theta_axis):
+                row = [f"{math.degrees(psi):.12g}", f"{math.degrees(theta):.12g}"]
+                for grid in grids:
+                    value = grid.values[i, j]
+                    row.append(f"{value:.12g}" if np.isfinite(value) else "")
+                writer.writerow(row)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pkm import kernel, sweep
 from pkm.cli import build_parser, main
 from pkm.config import (
     SweepSettings,
@@ -175,11 +176,18 @@ def test_cli_non_finite_heave_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_unusable_out_is_input_error(tmp_path, capsys):
+def test_cli_unusable_out_is_input_error(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the grid ran before --out was created")
+
+    # the maps import evaluate_grid from the kernel at call time, sweep at import
+    monkeypatch.setattr(kernel, "evaluate_grid", no_sweep)
+    monkeypatch.setattr(sweep, "evaluate_grid", no_sweep)
     taken = tmp_path / "taken"
     taken.write_text("", encoding="utf-8")
+    maps = ("parasitic-map", "condition-map", "workspace", "stiffness-map")
     for command in (
-        ["condition-map", "--machine", "z3", "--grid", "3", "--out", str(taken)],
+        *([name, "--machine", "a3", "--grid", "121", "--out", str(taken)] for name in maps),
         ["compare", "--grid", "3", "--out", str(taken / "sub")],
     ):
         assert main(command) == 2

@@ -26,6 +26,8 @@ from pkm.kinematics import inverse_kinematics
 from pkm.parasitic import solve_loop_closure
 from pkm.stiffness import assemble_stiffness
 
+from oracles import parasitic_second_order
+
 OFFSETS = (0.0, -50.0, -100.0)
 KAPPA_MIN_INV = 0.05
 N_RECORD = len(kernel.RECORD)
@@ -229,3 +231,18 @@ def test_grid_parasitics_shared_and_z3_kappa_heave_free(grid_n, tilt_max_deg):
     lowered = kernel.evaluate_grid(z3, *axes, home_height(z3) - 100.0)
     assert np.array_equal(lowered.values[..., :3], table.values[..., :3])
     assert np.array_equal(lowered["kappa"].values, table["kappa"].values)
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_grid_small_tilt_limit(variant):
+    # over +/-2 deg the closure's parasitics differ from the second-order
+    # expansion by fourth-order terms: at most about r/4, r/6 and 1/12 of tilt^4
+    params = default_params(variant)
+    psi_axis, theta_axis = tilt_axes(9, 2.0)
+    table = kernel.evaluate_grid(params, psi_axis, theta_axis)
+    tilts = np.meshgrid(psi_axis, theta_axis, indexing="ij")
+    expected = parasitic_second_order(params.r_platform, *tilts)
+    tilt4 = math.radians(2.0) ** 4
+    bounds = (0.3 * params.r_platform * tilt4, 0.3 * params.r_platform * tilt4, 0.1 * tilt4)
+    for name, reference, bound in zip(("x_mm", "y_mm", "gamma_rad"), expected, bounds):
+        assert np.abs(table[name].values - reference).max() <= bound, name

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pkm import svg
 from pkm.grids import SweepGrid, fmt12, read_map_csv, tilt_axes, write_map_csv
 from pkm.svg import emit_heatmap_svg, palette_color
+
+from oracles import heatmap_cells_reference, write_map_csv_reference
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -171,3 +174,84 @@ def test_heatmap_svg_constant_field(tmp_path):
     ET.fromstring(text)
     # zero span paints the mid-palette colour
     assert palette_color("viridis", 0.5) in text
+
+
+EDGE_GRIDS = ("non-square", "2x2", "holes", "constant", "all-missing")
+
+
+def _edge_grid(case, rng):
+    psi, theta = tilt_axes(7, 30.0)[0], tilt_axes(4, 20.0)[1]
+    if case == "non-square":
+        values = rng.uniform(-1.0, 1.0, (7, 4)) * 10.0 ** rng.integers(-9, 9, (7, 4))
+    elif case == "2x2":
+        psi, theta = tilt_axes(2, 10.0)
+        values = np.array([[0.3, -1.2], [5.0, 2.0]])
+    elif case == "holes":
+        values = rng.standard_normal((7, 4))
+        values[0, 0], values[2, 3], values[6, 1] = np.nan, np.inf, -np.inf
+    elif case == "constant":
+        values = np.full((7, 4), 3.5)
+    else:
+        values = np.full((7, 4), np.nan)
+    return SweepGrid(psi, theta, values)
+
+
+@pytest.mark.parametrize("palette", ["viridis", "coolwarm"])
+@pytest.mark.parametrize("case", EDGE_GRIDS)
+def test_heatmap_cells_match_scalar_reference(tmp_path, rng, case, palette):
+    grid = _edge_grid(case, rng)
+    path = tmp_path / "map.svg"
+    emit_heatmap_svg(grid, palette, path, title="t", value_label="v")
+    text = path.read_text(encoding="utf-8")
+    lines = text.split("\n")
+    start = next(k for k, line in enumerate(lines) if line.startswith('<rect x="'))
+    cells = heatmap_cells_reference(grid, palette)
+    assert lines[start : start + len(cells)] == cells
+    # the plot frame follows the last cell
+    assert lines[start + len(cells)].startswith('<rect x="64.00" y="34.00" width="484.00"')
+    assert text.endswith("</svg>\n")
+
+
+@pytest.mark.parametrize("case", EDGE_GRIDS)
+def test_csv_matches_scalar_reference(tmp_path, rng, case):
+    grid = _edge_grid(case, rng)
+    other = rng.standard_normal(grid.values.shape) * 1e-7
+    other[0, -1] = np.nan
+    # a field name with a comma must come out quoted
+    fields = {"alpha": grid, "b,eta": SweepGrid(grid.psi_axis, grid.theta_axis, other)}
+    write_map_csv(tmp_path / "new.csv", fields, units_note="units: test")
+    write_map_csv_reference(tmp_path / "ref.csv", fields, units_note="units: test")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _channels_before_rounding(stops, t):
+    """palette_color's three channel values at fraction t, before round."""
+    position = t * (len(stops) - 1)
+    low = int(math.floor(position))
+    high = min(low + 1, len(stops) - 1)
+    frac = position - low
+    return [stops[low][k] + frac * (stops[high][k] - stops[low][k]) for k in range(3)]
+
+
+@pytest.mark.parametrize("palette", ["viridis", "coolwarm"])
+def test_palette_codes_match_palette_color(palette):
+    stops = svg._PALETTES[palette]
+    steps = 64 * (len(stops) - 1)
+    # every stop, and many fractions where a channel lands exactly on x.5
+    inside = [m / steps for m in range(steps + 1)]
+    ties = [
+        c for t in inside for c in _channels_before_rounding(stops, t) if c % 1.0 == 0.5
+    ]
+    # round half to even goes down from an even and up from an odd integer part
+    assert {int(c) % 2 for c in ties} == {0, 1}
+    outside = [-5.0, -1e-300, 1.0 + 1e-12, 7.0]
+    values = np.array([*inside, *outside, np.nan, np.inf, -np.inf])
+    codes = svg._palette_codes(palette, values, 0.0, 1.0)
+    expected = [palette_color(palette, t) for t in [*inside, *outside]]
+    assert [f"#{code:06x}" for code in codes[:-3].tolist()] == expected
+    assert codes[-3:].tolist() == [-1, -1, -1]
+    # a zero span paints the mid-palette colour
+    flat = svg._palette_codes(palette, np.full(3, 2.0), 2.0, 0.0)
+    assert [f"#{code:06x}" for code in flat.tolist()] == [palette_color(palette, 0.5)] * 3
+    with pytest.raises(ValueError):
+        svg._palette_codes("plasma", values, 0.0, 1.0)

@@ -169,7 +169,11 @@ def test_comparison_worker_count_does_not_change_bytes(tmp_path):
     assert mismatch == [] and errors == []
 
 
-@pytest.mark.parametrize("offsets", [(), (0.0, math.nan)], ids=["empty", "nan"])
+@pytest.mark.parametrize(
+    "offsets",
+    [(), (0.0, math.nan), (0.0, 0.0, -50.0), (0.0, -0.0, -50.0)],
+    ids=["empty", "nan", "repeat", "signed-zero-repeat"],
+)
 def test_compare_settings_reject_bad_heave_offsets(tmp_path, offsets):
     out = tmp_path / "bundle"
     with pytest.raises(ConfigError, match="heave_offsets"):
