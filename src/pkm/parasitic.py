@@ -8,6 +8,7 @@ parasitic fields coincide identically.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,23 +178,50 @@ def _compatible_pose(psi, theta, z, u) -> CompatiblePose:
     )
 
 
-def _path_rates(params, psi_target, theta_target, s, u):
-    """State derivative along the straight tilt path at parameter s."""
+def _path_geometry(params: MechanismParams):
+    """What the path rates need of the geometry: per limb (cos xi, sin xi,
+    r cos xi, r sin xi), then k = c x s for c = (cos xi_i), s = (sin xi_i)."""
+    r = params.r_platform
+    (c0, s0), (c1, s1), (c2, s2) = ((math.cos(xi), math.sin(xi)) for xi in params.azimuths)
+    k = (c1 * s2 - c2 * s1, c2 * s0 - c0 * s2, c0 * s1 - c1 * s0)
+    return (c0, s0, r * c0, r * s0), (c1, s1, r * c1, r * s1), (c2, s2, r * c2, r * s2), k
+
+
+def _path_rates(geometry, singular, psi_target, theta_target, s, gamma):
+    """State derivative (x', y', gamma') along the straight tilt path at s;
+    it does not depend on x and y.  Raises IntegrationDiverged when
+    |det C1| <= singular."""
     psi = s * psi_target
     theta = s * theta_target
-    gamma = u[2]
+    cp, sp = math.cos(psi), math.sin(psi)
+    ct, st = math.cos(theta), math.sin(theta)
     cg, sg = math.cos(gamma), math.sin(gamma)
-    ct = math.cos(theta)
-    # world angular rate of Rz(gamma(s)) Ry(theta(s)) Rx(psi(s)); gamma_dot
-    # only enters w_z, so the horizontal components are known a priori.
+    # columns 0 and 1 of Rz(gamma) Ry(theta) Rx(psi); the body attachments
+    # have no z, so column 2 never enters
+    r00, r10, r20 = cg * ct, sg * ct, -st
+    r01, r11, r21 = cg * st * sp - sg * cp, sg * st * sp + cg * cp, ct * sp
+    # world angular rate of the orientation; gamma_dot only enters w_z, so
+    # the horizontal components are known a priori
     wx = -sg * theta_target + cg * ct * psi_target
     wy = cg * theta_target + sg * ct * psi_target
-    R = orientation_from_tilts(psi, theta, gamma)
-    attachments = _attachments(params, R)
-    C1, C2 = _coupling_rows(params, attachments)
-    dependent = np.linalg.solve(C1, C2 @ np.array([wx, wy]))
-    gamma_dot = dependent[2] + psi_target * math.sin(theta)
-    return np.array([dependent[0], dependent[1], gamma_dot])
+    # limb i, attachment a = R (r c, r s, 0): C1 row (-s, c, m) with
+    # m = a_x c + a_y s, and b = C2 (w_x, w_y) = a_z (c w_x + s w_y)
+    (c0, s0, rc0, rs0), (c1, s1, rc1, rs1), (c2, s2, rc2, rs2), (k0, k1, k2) = geometry
+    m0 = (rc0 * r00 + rs0 * r01) * c0 + (rc0 * r10 + rs0 * r11) * s0
+    m1 = (rc1 * r00 + rs1 * r01) * c1 + (rc1 * r10 + rs1 * r11) * s1
+    m2 = (rc2 * r00 + rs2 * r01) * c2 + (rc2 * r10 + rs2 * r11) * s2
+    b0 = (rc0 * r20 + rs0 * r21) * (c0 * wx + s0 * wy)
+    b1 = (rc1 * r20 + rs1 * r21) * (c1 * wx + s1 * wy)
+    b2 = (rc2 * r20 + rs2 * r21) * (c2 * wx + s2 * wy)
+    # Cramer's rule on the columns (-s, c, m): det = m.k, and the numerators
+    # are b.(c x m), b.(s x m) and b.k
+    det = m0 * k0 + m1 * k1 + m2 * k2
+    if not abs(det) > singular:  # negated, so that a NaN determinant fails too
+        raise IntegrationDiverged(f"coupling became singular mid-path: det C1 = {det:.3g}")
+    x_dot = b0 * (c1 * m2 - c2 * m1) + b1 * (c2 * m0 - c0 * m2) + b2 * (c0 * m1 - c1 * m0)
+    y_dot = b0 * (s1 * m2 - s2 * m1) + b1 * (s2 * m0 - s0 * m2) + b2 * (s0 * m1 - s1 * m0)
+    w_z = b0 * k0 + b1 * k1 + b2 * k2
+    return x_dot / det, y_dot / det, w_z / det + psi_target * st
 
 
 def integrate_parasitic_path(
@@ -205,32 +233,42 @@ def integrate_parasitic_path(
 ) -> CompatiblePose:
     """Track the parasitic motion along the straight path from zero tilt.
 
-    Classical fixed-step fourth-order Runge-Kutta on the path parameter.
-    The platform angular rate is the exact one of the time-varying
-    orientation, not a small-angle approximation.  Raises
-    IntegrationDiverged when the end point drifts off the constraint
-    manifold by more than the compatibility tolerance.  Like
-    solve_loop_closure, it does not check that the limbs reach the pose.
+    Classical fixed-step fourth-order Runge-Kutta on the path parameter,
+    on plain floats.  The platform angular rate is the exact one of the
+    time-varying orientation, not a small-angle approximation.  Raises
+    IntegrationDiverged when the coupling turns singular (|det C1| at most
+    1e-12 r_platform), when the state stops being finite, or when the end
+    point drifts off the constraint manifold by more than the
+    compatibility tolerance.  Like solve_loop_closure, it does not check
+    that the limbs reach the pose.
     """
     _check_tilt_bounds(psi, theta)
     if z is None:
         z = home_height(params)
+    try:
+        steps = operator.index(steps)
+    except TypeError:
+        raise ValueError(f"steps must be a positive integer, got {steps!r}") from None
     if steps < 1:
-        raise ValueError("steps must be positive")
+        raise ValueError(f"steps must be a positive integer, got {steps!r}")
+    geometry = _path_geometry(params)
+    singular = 1e-12 * params.r_platform
     h = 1.0 / steps
-    u = np.zeros(3)
+    half = 0.5 * h
+    sixth = h / 6.0
+    x = y = g = 0.0
     for k in range(steps):
         s = k * h
-        try:
-            k1 = _path_rates(params, psi, theta, s, u)
-            k2 = _path_rates(params, psi, theta, s + 0.5 * h, u + 0.5 * h * k1)
-            k3 = _path_rates(params, psi, theta, s + 0.5 * h, u + 0.5 * h * k2)
-            k4 = _path_rates(params, psi, theta, s + h, u + h * k3)
-        except np.linalg.LinAlgError as exc:
-            raise IntegrationDiverged(f"coupling became singular mid-path: {exc}")
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(u)):
+        x1, y1, g1 = _path_rates(geometry, singular, psi, theta, s, g)
+        x2, y2, g2 = _path_rates(geometry, singular, psi, theta, s + half, g + half * g1)
+        x3, y3, g3 = _path_rates(geometry, singular, psi, theta, s + half, g + half * g2)
+        x4, y4, g4 = _path_rates(geometry, singular, psi, theta, s + h, g + h * g3)
+        x = x + sixth * (x1 + 2.0 * x2 + 2.0 * x3 + x4)
+        y = y + sixth * (y1 + 2.0 * y2 + 2.0 * y3 + y4)
+        g = g + sixth * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(g)):
             raise IntegrationDiverged(f"state blew up at path parameter {s + h:.4g}")
+    u = np.array([x, y, g])
     residual, _ = _closure_residual(params, psi, theta, u)
     drift = float(np.max(np.abs(residual)))
     if drift > 1e-6:

@@ -153,3 +153,40 @@ def write_map_csv_reference(path, fields, units_note=None):
                     value = grid.values[i, j]
                     row.append(f"{value:.12g}" if np.isfinite(value) else "")
                 writer.writerow(row)
+
+
+def path_rates_reference(params, psi_target, theta_target, s, u):
+    """RK4 path state derivative by the numpy formula: rotation matrix,
+    attachments, C1 and C2 as arrays, and a LAPACK solve of C1 d = C2 w."""
+    psi = s * psi_target
+    theta = s * theta_target
+    gamma = u[2]
+    cg, sg = math.cos(gamma), math.sin(gamma)
+    ct = math.cos(theta)
+    wx = -sg * theta_target + cg * ct * psi_target
+    wy = cg * theta_target + sg * ct * psi_target
+    R = rotation_from_tilts_scipy(psi, theta, gamma)
+    c = np.cos(params.azimuths)
+    s_ = np.sin(params.azimuths)
+    body = params.r_platform * np.stack((c, s_, np.zeros(3)), axis=-1)
+    attachments = body @ R.T
+    ax, ay, az = attachments[:, 0], attachments[:, 1], attachments[:, 2]
+    C1 = np.stack((-s_, c, ax * c + ay * s_), axis=-1)
+    C2 = np.stack((az * c, az * s_), axis=-1)
+    dependent = np.linalg.solve(C1, C2 @ np.array([wx, wy]))
+    return np.array([dependent[0], dependent[1], dependent[2] + psi_target * math.sin(theta)])
+
+
+def path_end_reference(params, psi, theta, steps=200):
+    """(x, y, gamma) at the end of the straight tilt path, by classical RK4
+    on numpy arrays over path_rates_reference."""
+    h = 1.0 / steps
+    u = np.zeros(3)
+    for k in range(steps):
+        s = k * h
+        k1 = path_rates_reference(params, psi, theta, s, u)
+        k2 = path_rates_reference(params, psi, theta, s + 0.5 * h, u + 0.5 * h * k1)
+        k3 = path_rates_reference(params, psi, theta, s + 0.5 * h, u + 0.5 * h * k2)
+        k4 = path_rates_reference(params, psi, theta, s + h, u + h * k3)
+        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return u

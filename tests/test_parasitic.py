@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import parasitic_second_order
+from oracles import parasitic_second_order, path_end_reference, path_rates_reference
 from pkm import parasitic
-from pkm.errors import NoConvergence, UnreachablePose
-from pkm.geometry import MechanismParams, Pose, Variant, home_height, rot_z
+from pkm.errors import IntegrationDiverged, NoConvergence, UnreachablePose
+from pkm.geometry import MechanismParams, Pose, Variant, default_params, home_height, rot_z
 from pkm.grids import tilt_axes
 from pkm.jacobian import build_jacobian
 from pkm.kernel import evaluate_grid
@@ -21,6 +21,16 @@ from pkm.parasitic import (
 from pkm.stiffness import stiffness_map_rotational
 
 tilts = st.floats(min_value=-0.6, max_value=0.6)
+
+TILT_60 = math.radians(60.0)
+# both machines, and one off-stock geometry: a smaller platform on uneven azimuths
+PATH_GEOMETRIES = {
+    "z3": default_params(Variant.Z3_PRS),
+    "a3": default_params(Variant.A3_RPS),
+    "off_stock": MechanismParams(
+        variant=Variant.Z3_PRS, r_platform=180.0, azimuths=(0.1, 2.2, 4.0)
+    ),
+}
 
 
 def test_no_coupling_at_home(params):
@@ -136,9 +146,108 @@ def test_integration_matches_closure(params):
             assert tracked.gamma == pytest.approx(closed.gamma, abs=1e-10)
 
 
+@pytest.mark.parametrize("max_deg", [40.0, 60.0])
+@pytest.mark.parametrize("name", ["a3", "off_stock"])
+def test_integration_matches_closure_on_grids(name, max_deg):
+    # criterion 5's bounds, beyond its z3 grid at 40 degrees
+    params = PATH_GEOMETRIES[name]
+    psi_axis, theta_axis = tilt_axes(9, max_deg)
+    worst_t = worst_g = 0.0
+    for psi in psi_axis:
+        for theta in theta_axis:
+            closed = solve_loop_closure(params, psi, theta).parasitic
+            tracked = integrate_parasitic_path(params, psi, theta).parasitic
+            worst_t = max(worst_t, abs(tracked.x - closed.x), abs(tracked.y - closed.y))
+            worst_g = max(worst_g, abs(tracked.gamma - closed.gamma))
+    assert worst_t < 1e-6
+    assert worst_g < 1e-8
+
+
+def _homogeneous(rates, r_platform):
+    """Path rates with the translations in platform radii, so that one
+    relative bound weighs mm and rad alike."""
+    return np.array([rates[0] / r_platform, rates[1] / r_platform, rates[2]])
+
+
+@pytest.mark.parametrize("name", list(PATH_GEOMETRIES))
+def test_path_rates_match_numpy_reference(name, rng):
+    params = PATH_GEOMETRIES[name]
+    geometry = parasitic._path_geometry(params)
+    singular = 1e-12 * params.r_platform
+    for _ in range(1000):
+        psi_t, theta_t = rng.uniform(-TILT_60, TILT_60, size=2)
+        s = rng.uniform(0.0, 1.0)
+        x, y = rng.uniform(-50.0, 50.0, size=2)
+        gamma = rng.uniform(-0.1, 0.1)
+        got = parasitic._path_rates(geometry, singular, psi_t, theta_t, s, gamma)
+        want = path_rates_reference(params, psi_t, theta_t, s, np.array([x, y, gamma]))
+        got_h = _homogeneous(got, params.r_platform)
+        want_h = _homogeneous(want, params.r_platform)
+        assert np.max(np.abs(got_h - want_h)) <= 1e-12 * np.max(np.abs(want_h))
+
+
+@pytest.mark.parametrize("name", list(PATH_GEOMETRIES))
+def test_path_end_points_match_numpy_reference(name):
+    params = PATH_GEOMETRIES[name]
+    for psi, theta in [(TILT_60, TILT_60), (-TILT_60, TILT_60), (0.3, -0.7), (TILT_60, 0.0)]:
+        tracked = integrate_parasitic_path(params, psi, theta).parasitic
+        x, y, gamma = path_end_reference(params, psi, theta, steps=200)
+        assert abs(tracked.x - x) <= 1e-12
+        assert abs(tracked.y - y) <= 1e-12
+        assert abs(tracked.gamma - gamma) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "azimuths",
+    [(0.0, 0.0, 0.0), (0.0, math.pi, 0.0), (0.0, 1e-300, 1.0)],
+    ids=["all_coincident", "opposite_pair", "denormal_gap"],
+)
+@pytest.mark.parametrize("variant", list(Variant), ids=["z3", "a3"])
+def test_coincident_limbs_make_the_path_coupling_singular(variant, azimuths):
+    # two limbs on one constraint plane leave C1 singular; (0, 1e-300, 1.0)
+    # has det C1 around 1e-298, which Cramer's rule alone would divide by
+    params = MechanismParams(variant=variant, azimuths=azimuths)
+    with pytest.raises(IntegrationDiverged, match="coupling became singular"):
+        integrate_parasitic_path(params, 0.3, 0.2)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_too_few_steps_leave_the_end_point_off_the_manifold(params, steps):
+    # the end-point residuals are 5.5, 0.40 and 0.079 mm
+    with pytest.raises(IntegrationDiverged, match="end-point constraint residual"):
+        integrate_parasitic_path(params, TILT_60, TILT_60, steps=steps)
+
+
+@pytest.mark.parametrize("r_platform", [1e-300, 1e300])
+def test_extreme_scale_paths_raise_only_integration_diverged(r_platform):
+    # no bare arithmetic error (ZeroDivisionError, math domain ValueError,
+    # OverflowError) escapes the step loop; z is given because home_height
+    # squares the lengths
+    params = MechanismParams(
+        variant=Variant.Z3_PRS,
+        r_base=max(350.0, r_platform),
+        r_platform=r_platform,
+        link_length=max(642.3, 2.0 * r_platform),
+    )
+    try:
+        cp = integrate_parasitic_path(params, 0.5, 0.5, z=0.0)
+    except IntegrationDiverged:
+        return
+    assert all(map(math.isfinite, (cp.parasitic.x, cp.parasitic.y, cp.parasitic.gamma)))
+
+
 def test_integration_step_count_validation(params):
-    with pytest.raises(ValueError):
-        integrate_parasitic_path(params, 0.1, 0.1, steps=0)
+    for bad in (0, -1, 2.5, math.nan, "3"):
+        with pytest.raises(ValueError, match="steps must be a positive integer"):
+            integrate_parasitic_path(params, 0.1, 0.1, steps=bad)
+    # numpy integers are integers
+    numpy_steps = integrate_parasitic_path(params, 0.1, 0.1, steps=np.int64(50)).parasitic
+    plain_steps = integrate_parasitic_path(params, 0.1, 0.1, steps=50).parasitic
+    assert (numpy_steps.x, numpy_steps.y, numpy_steps.gamma) == (
+        plain_steps.x,
+        plain_steps.y,
+        plain_steps.gamma,
+    )
 
 
 def test_tilt_bounds_enforced(params):
