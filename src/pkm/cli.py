@@ -121,11 +121,11 @@ def _cmd_ik(args) -> int:
 def _cmd_jacobian(args) -> int:
     params, cp, states = _pose_chain(args)
     jac = build_jacobian(params, cp.pose, states)
-    np.set_printoptions(precision=6, suppress=False, linewidth=120)
-    print(f"machine: {params.variant.value}")
-    print("G (columns: 3 active, 3 constraint):")
-    print(jac.G)
-    print("projector diagonal:", np.array2string(np.diag(jac.P), precision=6))
+    with np.printoptions(precision=6, suppress=False, linewidth=120):
+        print(f"machine: {params.variant.value}")
+        print("G (columns: 3 active, 3 constraint):")
+        print(jac.G)
+        print("projector diagonal:", np.array2string(np.diag(jac.P), precision=6))
     print(f"kappa: {fmt12(jac.kappa)}")
     return 0
 

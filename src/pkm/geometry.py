@@ -9,6 +9,7 @@ to the tilts, so nominal orientation commands use gamma = 0.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -19,6 +20,8 @@ DEFAULT_AZIMUTHS = (0.0, TWO_THIRDS_PI, 2.0 * TWO_THIRDS_PI)
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 Z_AXIS.setflags(write=False)
+# mm; home_height squares the lengths, which overflows above about 1.3e154
+MAX_LENGTH = 1e150
 
 
 class Variant(enum.Enum):
@@ -70,6 +73,19 @@ class StiffnessCoeffs:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class LimbLayout:
+    """Per limb, read-only: cos and sin of the azimuth xi, the spherical
+    joint in the platform frame (body), the base point (anchor), and the
+    limb-plane normal, which is the revolute axis (tangent)."""
+
+    cos: np.ndarray
+    sin: np.ndarray
+    body: np.ndarray
+    anchor: np.ndarray
+    tangent: np.ndarray
+
+
 @dataclass(frozen=True)
 class MechanismParams:
     """Geometry and joint stiffness of one machine.
@@ -96,6 +112,8 @@ class MechanismParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+            if value > MAX_LENGTH:
+                raise ValueError(f"{name} must be at most {MAX_LENGTH:g} mm, got {value!r}")
         if self.link_length <= abs(self.r_base - self.r_platform):
             raise ValueError("link_length too short to close the home configuration")
         if len(self.azimuths) != 3:
@@ -103,6 +121,20 @@ class MechanismParams:
         lo, hi = self.stroke_limits()
         if not lo < hi:  # also rejects NaN bounds
             raise ValueError(f"empty stroke interval [{lo}, {hi}]")
+
+    @functools.cached_property
+    def layout(self) -> LimbLayout:
+        """The limb layout of this machine, built once from its azimuths."""
+        cos, sin = (_readonly([f(xi) for xi in self.azimuths]) for f in (math.cos, math.sin))
+        unit = np.stack((cos, sin, np.zeros(3)), -1)
+        tangent = np.stack((-sin, cos, np.zeros(3)), -1)
+        return LimbLayout(
+            cos, sin, _readonly(self.r_platform * unit), _readonly(self.r_base * unit), _readonly(tangent)
+        )
+
+    def __getstate__(self):
+        # copies and unpickled machines rebuild the layout: pickle would hand back writable arrays
+        return {name: value for name, value in self.__dict__.items() if name != "layout"}
 
     def stroke_limits(self) -> tuple[float, float]:
         """Resolved (lo, hi) actuated-length bounds for this variant."""
@@ -122,10 +154,14 @@ def default_params(variant: Variant) -> MechanismParams:
     return MechanismParams(variant=variant)
 
 
-def limb_azimuth(params: MechanismParams, limb: int) -> float:
+def _limb_row(limb: int) -> int:
     if limb not in (1, 2, 3):
         raise ValueError(f"limb index must be 1, 2 or 3, got {limb!r}")
-    return params.azimuths[limb - 1]
+    return limb - 1
+
+
+def limb_azimuth(params: MechanismParams, limb: int) -> float:
+    return params.azimuths[_limb_row(limb)]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -193,15 +229,12 @@ class TaskRate:
 
 def platform_attachment(params: MechanismParams, R: np.ndarray, limb: int) -> np.ndarray:
     """Vector from the platform centre to the limb's spherical joint, world frame."""
-    xi = limb_azimuth(params, limb)
-    b = params.r_platform * np.array([math.cos(xi), math.sin(xi), 0.0])
-    return np.asarray(R) @ b
+    return np.asarray(R) @ params.layout.body[_limb_row(limb)]
 
 
 def base_anchor(params: MechanismParams, limb: int) -> np.ndarray:
-    """Fixed base point of the limb (rail foot or hinge), world frame."""
-    xi = limb_azimuth(params, limb)
-    return params.r_base * np.array([math.cos(xi), math.sin(xi), 0.0])
+    """Fixed base point of the limb (rail foot or hinge), world frame; read-only."""
+    return params.layout.anchor[_limb_row(limb)]
 
 
 def home_height(params: MechanismParams) -> float:

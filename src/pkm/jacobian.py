@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import RankDeficiency, SingularConfiguration, SingularLimb
 from .geometry import MechanismParams, Pose, TaskRate, platform_attachment
-from .kinematics import LimbState, actuated_axis, inverse_kinematics, revolute_axis
+from .kinematics import LimbState, inverse_kinematics
 
 MOMENT_CONVENTION = "moment = attachment x direction, about platform centre"
 SINGULAR_LIMB_TOL = 1e-9  # |l1 . actuated axis| below this is a singular limb
@@ -37,12 +37,31 @@ class JacobianSet:
     moment_convention: str = MOMENT_CONVENTION
 
 
-def _line_wrench(direction: np.ndarray, attachment: np.ndarray) -> np.ndarray:
-    """Plucker 6-vector (direction, moment) of a line through the attachment."""
-    dx, dy, dz = direction.tolist()
-    ax, ay, az = attachment.tolist()
-    # attachment x direction spelt out: np.cross costs about ten times more on 3-vectors
-    return np.array([dx, dy, dz, ay * dz - az * dy, az * dx - ax * dz, ax * dy - ay * dx])
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis, spelt out: np.cross costs about ten times more on 3-vectors."""
+    ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
+    bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack((ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx), -1)
+
+
+def _wrench_matrix(
+    attachment: np.ndarray, l1: np.ndarray, divisor: np.ndarray, revolute: np.ndarray
+) -> np.ndarray:
+    """G (..., 6, 6) from limb rows (..., 3, 3) and per-limb divisors (..., 3).
+
+    Column i is the actuation wrench (l1_i, attachment_i x l1_i) / divisor_i,
+    column 3 + i the constraint wrench (revolute_i, attachment_i x revolute_i).
+    """
+    lead = attachment.shape[:-2]
+    lines = np.empty(lead + (2, 3, 3))
+    lines[..., 0, :, :] = l1
+    lines[..., 1, :, :] = revolute
+    moments = _cross(attachment[..., None, :, :], lines)
+    G = np.empty(lead + (6, 6))
+    G[..., :3, :] = np.swapaxes(lines.reshape(lead + (6, 3)), -1, -2)
+    G[..., 3:, :] = np.swapaxes(moments.reshape(lead + (6, 3)), -1, -2)
+    G[..., :3] /= divisor[..., None, :]
+    return G
 
 
 def build_jacobian(
@@ -51,22 +70,21 @@ def build_jacobian(
     """Assemble G for a compatible pose and derive projector and conditioning."""
     if states is None:
         states = inverse_kinematics(params, pose)
-    active_cols = []
-    constraint_cols = []
+    divisors = []
     for limb, state in enumerate(states, start=1):
-        attachment = platform_attachment(params, pose.R, limb)
-        divisor = float(state.l1 @ actuated_axis(params, state))
+        divisor = float(state.l1 @ state.actuated)
         if abs(divisor) < SINGULAR_LIMB_TOL:
             raise SingularLimb(
                 f"limb {limb}: link orthogonal to its actuated axis ({divisor:.3g})"
             )
-        active = _line_wrench(state.l1, attachment) / divisor
-        constraint = _line_wrench(revolute_axis(params, state), attachment)
-        active_cols.append(active)
-        constraint_cols.append(constraint)
-    Ga = np.column_stack(active_cols)
-    Gc = np.column_stack(constraint_cols)
-    G = np.hstack([Ga, Gc])
+        divisors.append(divisor)
+    G = _wrench_matrix(
+        np.array([platform_attachment(params, pose.R, limb) for limb in (1, 2, 3)]),
+        np.array([state.l1 for state in states]),
+        np.array(divisors),
+        np.array([state.revolute for state in states]),
+    )
+    Ga, Gc = G[:, :3], G[:, 3:]
     P, basis = _projector_and_null_basis(Gc)
     J_hom, kappa = homogenized_jacobian(Ga, Gc, params)
     return JacobianSet(

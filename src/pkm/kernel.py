@@ -21,7 +21,7 @@ from . import parasitic
 from .errors import CellStatus
 from .geometry import MechanismParams, Variant, home_height
 from .grids import SweepGrid
-from .jacobian import RANK_TOL, SINGULAR_LIMB_TOL, SINGULAR_TOL
+from .jacobian import RANK_TOL, SINGULAR_LIMB_TOL, SINGULAR_TOL, _wrench_matrix
 from .kinematics import CONSTRAINT_TOL, HINGE_TOL
 from .parasitic import CLOSURE_MAX_ITER, CLOSURE_TOL, DAMPING_TRIES
 from .stiffness import STIFFNESS_FIELDS
@@ -65,7 +65,6 @@ class LimbStack:
     l1: np.ndarray
     length: np.ndarray  # actuated lengths, (N, 3)
     actuated: np.ndarray  # actuated joint axes
-    revolute: np.ndarray  # revolute axes, (3, 3): the same for every cell
 
 
 def _rotate_z(c, s, v: np.ndarray) -> np.ndarray:
@@ -76,12 +75,6 @@ def _rotate_z(c, s, v: np.ndarray) -> np.ndarray:
 def _rotate_y(c, s, v: np.ndarray) -> np.ndarray:
     """rot_y(angle) @ v over the last axis, given the angle's cos and sin."""
     return np.stack((c * v[..., 0] + s * v[..., 2], v[..., 1], c * v[..., 2] - s * v[..., 0]), -1)
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
-    bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack((ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx), -1)
 
 
 def _rotations(angles: np.ndarray, axis: int) -> np.ndarray:
@@ -186,17 +179,15 @@ def _inverse_kinematics(
     status: np.ndarray,
 ) -> tuple[LimbStack, np.ndarray]:
     """inverse_kinematics at heave z for every cell, with the same per-limb check order."""
-    c, s = parasitic._azimuth_trig(params)
+    layout = params.layout
     joint = attachment.copy()
     joint[..., 0] += u[:, 0, None]
     joint[..., 1] += u[:, 1, None]
     joint[..., 2] += z
-    g = _rotate_z(c, -s, joint)
+    g = _rotate_z(layout.cos, -layout.sin, joint)
     g[..., 0] -= params.r_base
     off_plane = np.abs(g[..., 1]) > CONSTRAINT_TOL
-    anchors = params.r_base * np.stack((c, s, np.zeros(3)), -1)
-    l1 = joint - anchors
-    revolute = np.stack((-s, c, np.zeros(3)), -1)
+    l1 = joint - layout.anchor
     if params.variant is Variant.Z3_PRS:
         disc = params.link_length**2 - g[..., 0] ** 2 - g[..., 1] ** 2
         status = _first_failure(
@@ -214,9 +205,7 @@ def _inverse_kinematics(
         )
         norm = np.sqrt((l1 * l1).sum(axis=-1))
         actuated = l1 / np.where(norm > 0.0, norm, 1.0)[..., None]
-    limbs = LimbStack(
-        attachment=attachment, l1=l1, length=length, actuated=actuated, revolute=revolute
-    )
+    limbs = LimbStack(attachment=attachment, l1=l1, length=length, actuated=actuated)
     return limbs, status
 
 
@@ -231,13 +220,8 @@ def _jacobian(
     divisor = (limbs.l1 * limbs.actuated).sum(axis=-1)
     singular = np.abs(divisor) < SINGULAR_LIMB_TOL
     status = _first_failure(status, ((singular, CellStatus.SINGULAR_LIMB),))
-    safe = np.where(singular, 1.0, divisor)[..., None]
-    revolute = np.broadcast_to(limbs.revolute, limbs.l1.shape)
-    G = np.empty(limbs.l1.shape[:1] + (6, 6))
-    G[:, :3, :3] = np.swapaxes(limbs.l1 / safe, 1, 2)
-    G[:, 3:, :3] = np.swapaxes(_cross(limbs.attachment, limbs.l1) / safe, 1, 2)
-    G[:, :3, 3:] = np.swapaxes(revolute, 1, 2)
-    G[:, 3:, 3:] = np.swapaxes(_cross(limbs.attachment, revolute), 1, 2)
+    safe = np.where(singular, 1.0, divisor)
+    G = _wrench_matrix(limbs.attachment, limbs.l1, safe, params.layout.tangent)
 
     kappa = np.full(len(G), np.nan)
     ok = np.flatnonzero(status == OK)
@@ -260,18 +244,16 @@ def _jacobian(
     return G, kappa, status
 
 
-def _stiffness_diagonal(
-    params: MechanismParams, G: np.ndarray, l1: np.ndarray, revolute: np.ndarray
-) -> np.ndarray:
+def _stiffness_diagonal(params: MechanismParams, G: np.ndarray, l1: np.ndarray) -> np.ndarray:
     """diag(K) of assemble_stiffness, (N, 6), for stacks of OK cells only."""
     coeffs = params.stiffness
     k_a = 1.0 / (1.0 / coeffs.k_carriage + 1.0 / coeffs.k_revolute + 1.0 / coeffs.k_limb_body)
     # limb_series_stiffness: the spherical joint's rate about the revolute
     # axis, with R_spherical = rot_z(xi) @ rot_y(theta2) of the distal body
-    c, s = parasitic._azimuth_trig(params)
+    c, s = params.layout.cos, params.layout.sin
     l1_limb = _rotate_z(c, -s, l1)
     theta2 = np.arctan2(l1_limb[..., 0], l1_limb[..., 2])
-    axis = np.broadcast_to(revolute, l1.shape)
+    axis = np.broadcast_to(params.layout.tangent, l1.shape)
     v = _rotate_z(c, s, _rotate_y(np.cos(theta2), np.sin(theta2), axis))
     k_s = (np.array([coeffs.k_sx, coeffs.k_sy, coeffs.k_sz]) * v * v).sum(axis=-1)
     k_c = 1.0 / (1.0 / k_s + 1.0 / coeffs.k_limb_body)
@@ -306,9 +288,7 @@ def _evaluate_cells(
         ok = cell_status == OK
         if k == 0:
             values[ok, 3] = kappa[ok]
-            values[ok, 4 : len(RECORD)] = _stiffness_diagonal(
-                params, G[ok], limbs.l1[ok], limbs.revolute
-            )
+            values[ok, 4 : len(RECORD)] = _stiffness_diagonal(params, G[ok], limbs.l1[ok])
         strokes_ok = ((lo <= limbs.length) & (limbs.length <= hi)).all(axis=1)
         values[:, len(RECORD) + k] = ok & strokes_ok & (1.0 / kappa >= kappa_min_inv)
         status[:, 1 + k] = cell_status

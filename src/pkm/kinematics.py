@@ -19,7 +19,6 @@ from .geometry import (
     Pose,
     Variant,
     Z_AXIS,
-    base_anchor,
     home_height,
     limb_azimuth,
     platform_attachment,
@@ -36,17 +35,17 @@ class LimbState:
     """Resolved geometry of one limb at a given pose.
 
     l1 is the link vector along the limb (carriage-to-joint for the PRS
-    head, hinge-to-joint for the RPS head).  s1_par and s2_par are the
-    direction vectors of the first and second limb joints; which one is
-    actuated depends on the variant.
+    head, hinge-to-joint for the RPS head).  actuated is the direction of
+    the actuated prismatic joint, revolute the axis of the revolute joint:
+    the limb-plane normal, which doubles as the constraint direction.
     """
 
     anchor: np.ndarray
     g: np.ndarray
     l1: np.ndarray
     actuated_length: float
-    s1_par: np.ndarray
-    s2_par: np.ndarray
+    actuated: np.ndarray
+    revolute: np.ndarray
     R_spherical: np.ndarray
 
 
@@ -57,15 +56,6 @@ def _limb_joint(params: MechanismParams, pose: Pose, limb: int) -> tuple[np.ndar
     g = rot_z(xi).T @ joint
     g[0] -= params.r_base
     return joint, g
-
-
-def limb_frame_coords(params: MechanismParams, pose: Pose, limb: int) -> np.ndarray:
-    """Spherical-joint position in the limb frame, relative to the base anchor."""
-    return _limb_joint(params, pose, limb)[1]
-
-
-def _tangent(xi: float) -> np.ndarray:
-    return np.array([-math.sin(xi), math.cos(xi), 0.0])
 
 
 def _distal_rotation(params: MechanismParams, l1: np.ndarray, limb: int) -> np.ndarray:
@@ -89,6 +79,7 @@ def inverse_kinematics(
     then prismatic).  The revolute axis is the limb-plane normal for both.
     """
     rail = params.variant is Variant.Z3_PRS
+    layout = params.layout
     states = []
     for limb in (1, 2, 3):
         joint, g = _limb_joint(params, pose, limb)
@@ -102,41 +93,29 @@ def inverse_kinematics(
             raise ConstraintViolation(
                 f"limb {limb}: tangential residual {g[1]:.6g} mm exceeds {constraint_tol:g}"
             )
-        anchor = base_anchor(params, limb)
+        anchor = layout.anchor[limb - 1]
         if rail:
             length = g[2] - math.sqrt(disc)
             l1 = joint - anchor - length * Z_AXIS
-            prismatic = Z_AXIS
+            actuated = Z_AXIS
         else:
             length = math.hypot(g[0], g[2])
             if length < HINGE_TOL:
                 raise UnreachablePose(f"limb {limb}: joint coincides with the base hinge")
             l1 = joint - anchor
-            prismatic = l1 / np.linalg.norm(l1)
-        revolute = _tangent(limb_azimuth(params, limb))
-        s1_par, s2_par = (prismatic, revolute) if rail else (revolute, prismatic)
+            actuated = l1 / np.linalg.norm(l1)
         states.append(
             LimbState(
                 anchor=anchor,
                 g=g,
                 l1=l1,
                 actuated_length=length,
-                s1_par=s1_par,
-                s2_par=s2_par,
+                actuated=actuated,
+                revolute=layout.tangent[limb - 1],
                 R_spherical=_distal_rotation(params, l1, limb),
             )
         )
     return states
-
-
-def actuated_axis(params: MechanismParams, state: LimbState) -> np.ndarray:
-    """Direction of the actuated prismatic joint."""
-    return state.s1_par if params.variant is Variant.Z3_PRS else state.s2_par
-
-
-def revolute_axis(params: MechanismParams, state: LimbState) -> np.ndarray:
-    """Axis of the limb's revolute joint; doubles as the constraint direction."""
-    return state.s2_par if params.variant is Variant.Z3_PRS else state.s1_par
 
 
 def _euler_yxz(R: np.ndarray) -> tuple[float, float, float]:
@@ -167,7 +146,7 @@ def spherical_joint_frame(
     extracted against the home assembly hits the degenerate middle angle.
     """
     spherical_joint_angles(params, pose, state, limb)
-    return _distal_rotation(params, state.l1, limb)
+    return state.R_spherical
 
 
 def spherical_joint_angles(
@@ -179,6 +158,5 @@ def spherical_joint_angles(
     orientation, so all three angles vanish at the home pose.  Decomposition
     order is Ry, Rx, Rz in the joint frame.
     """
-    frame = _distal_rotation(params, state.l1, limb)
-    relative = frame.T @ pose.R @ _home_distal_rotation(params, limb)
+    relative = state.R_spherical.T @ pose.R @ _home_distal_rotation(params, limb)
     return _euler_yxz(relative)

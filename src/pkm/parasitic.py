@@ -56,25 +56,14 @@ class CompatiblePose:
     parasitic: ParasiticShift
 
 
-def _azimuth_trig(params: MechanismParams) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of the three limb azimuths."""
-    return (
-        np.array([math.cos(xi) for xi in params.azimuths]),
-        np.array([math.sin(xi) for xi in params.azimuths]),
-    )
-
-
 def _attachments(params: MechanismParams, R: np.ndarray) -> np.ndarray:
     """Platform attachments, one row per limb, for R of shape (3, 3) or (N, 3, 3)."""
-    body = params.r_platform * np.array(
-        [[math.cos(xi), math.sin(xi), 0.0] for xi in params.azimuths]
-    )
-    return body @ np.swapaxes(R, -1, -2)
+    return params.layout.body @ np.swapaxes(R, -1, -2)
 
 
 def _coupling_rows(params: MechanismParams, attachments: np.ndarray):
     """C1 (..., 3, 3) and C2 (..., 3, 2) from attachments of shape (..., 3, 3)."""
-    c, s = _azimuth_trig(params)
+    c, s = params.layout.cos, params.layout.sin
     ax, ay, az = attachments[..., 0], attachments[..., 1], attachments[..., 2]
     C1 = np.empty(attachments.shape)
     C1[..., 0] = -s
@@ -100,7 +89,7 @@ def _closure_rows(params: MechanismParams, attachments: np.ndarray, u: np.ndarra
     attachments (..., 3, 3) belong to the orientation at u[..., 2]; the
     heave does not enter, so neither does z.
     """
-    c, s = _azimuth_trig(params)
+    c, s = params.layout.cos, params.layout.sin
     x, y = u[..., 0, None], u[..., 1, None]
     residual = -s * (x + attachments[..., 0]) + c * (y + attachments[..., 1])
     C1, _ = _coupling_rows(params, attachments)
@@ -179,12 +168,12 @@ def _compatible_pose(psi, theta, z, u) -> CompatiblePose:
 
 
 def _path_geometry(params: MechanismParams):
-    """What the path rates need of the geometry: per limb (cos xi, sin xi,
+    """What the path rates need of the layout: per limb (cos xi, sin xi,
     r cos xi, r sin xi), then k = c x s for c = (cos xi_i), s = (sin xi_i)."""
-    r = params.r_platform
-    (c0, s0), (c1, s1), (c2, s2) = ((math.cos(xi), math.sin(xi)) for xi in params.azimuths)
+    c, s = params.layout.cos.tolist(), params.layout.sin.tolist()
+    (c0, c1, c2), (s0, s1, s2) = c, s
     k = (c1 * s2 - c2 * s1, c2 * s0 - c0 * s2, c0 * s1 - c1 * s0)
-    return (c0, s0, r * c0, r * s0), (c1, s1, r * c1, r * s1), (c2, s2, r * c2, r * s2), k
+    return (*zip(c, s, *params.layout.body[:, :2].T.tolist()), k)
 
 
 def _path_rates(geometry, singular, psi_target, theta_target, s, gamma):

@@ -15,7 +15,7 @@ from .errors import SingularStiffness
 from .geometry import MechanismParams, Pose
 from .grids import SweepGrid
 from .jacobian import JacobianSet, build_jacobian
-from .kinematics import LimbState, inverse_kinematics, revolute_axis
+from .kinematics import LimbState, inverse_kinematics
 
 STIFFNESS_FIELDS = ("kpx", "kpy", "kpz", "kax", "kay", "kaz")
 
@@ -67,7 +67,7 @@ def limb_series_stiffness(params: MechanismParams, state: LimbState) -> LimbStif
     """Series-spring reduction of one limb's actuation and constraint chains."""
     coeffs = params.stiffness
     k_a = 1.0 / (1.0 / coeffs.k_carriage + 1.0 / coeffs.k_revolute + 1.0 / coeffs.k_limb_body)
-    k_s = spherical_stiffness_effective(params, state.R_spherical, revolute_axis(params, state))
+    k_s = spherical_stiffness_effective(params, state.R_spherical, state.revolute)
     if k_s <= 0.0:
         raise ValueError(f"effective spherical stiffness must be positive, got {k_s!r}")
     k_c = 1.0 / (1.0 / k_s + 1.0 / coeffs.k_limb_body)

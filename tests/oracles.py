@@ -103,6 +103,32 @@ def ik_a3_reference(r_base, r_platform, p, R):
     return np.array(out)
 
 
+def wrench_matrix_reference(machine, r_base, r_platform, link_length, azimuths, p, R):
+    """G of the pose (p, R), limb by limb from the azimuths: the link vector
+    solved afresh, moments by np.cross, columns by np.column_stack."""
+    active, constraint = [], []
+    for xi in azimuths:
+        c, s = np.cos(xi), np.sin(xi)
+        attachment = R @ np.array([r_platform * c, r_platform * s, 0.0])
+        link = np.asarray(p) + attachment - np.array([r_base * c, r_base * s, 0.0])
+        if machine == "z3":
+            # the fixed strut from the rail carriage, which slides along z
+            link[2] = np.sqrt(link_length**2 - link[0] ** 2 - link[1] ** 2)
+            divisor = link[2]
+        else:
+            divisor = np.linalg.norm(link)
+        revolute = np.array([-s, c, 0.0])
+        active.append(np.concatenate([link, np.cross(attachment, link)]) / divisor)
+        constraint.append(np.concatenate([revolute, np.cross(attachment, revolute)]))
+    return np.column_stack(active + constraint)
+
+
+def assert_wrench_columns_close(G, reference, rtol=1e-12):
+    """Each column of G within rtol of the reference column's largest entry."""
+    scale = np.abs(reference).max(axis=0)
+    assert np.all(np.abs(G - reference) <= rtol * scale)
+
+
 def euler_yxz_reference(R):
     """Angles (a, b, c) with R = Ry(a) @ Rx(b) @ Rz(c), via scipy."""
     return Rotation.from_matrix(R).as_euler("YXZ")

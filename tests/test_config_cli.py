@@ -126,6 +126,13 @@ def test_cli_jacobian(capsys):
     assert "kappa" in out
 
 
+def test_cli_jacobian_restores_print_options(capsys):
+    before = np.get_printoptions()
+    assert main(["jacobian", "--machine", "z3", "--psi-deg", "12"]) == 0
+    capsys.readouterr()
+    assert np.get_printoptions() == before
+
+
 def test_cli_exit_code_numerical_failure(tmp_path, capsys):
     config = tmp_path / "short.cfg"
     config.write_text("variant = z3\nlink_length_mm = 105\n", encoding="utf-8")
@@ -140,6 +147,17 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     assert main(["ik", "--config", str(tmp_path / "missing.cfg"), "--machine", "z3"]) == 2
     capsys.readouterr()
+
+
+def test_cli_huge_lengths_are_config_error(tmp_path, capsys):
+    # the squared lengths would overflow in home_height
+    config = tmp_path / "huge.cfg"
+    config.write_text(
+        "variant = z3\nr_base_mm = 1e155\nr_platform_mm = 1e155\nlink_length_mm = 1e155\n",
+        encoding="utf-8",
+    )
+    assert main(["ik", "--config", str(config)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,14 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from pkm.geometry import (
+    MAX_LENGTH,
     MechanismParams,
     Pose,
     StiffnessCoeffs,
@@ -113,6 +117,58 @@ def test_params_validation():
         MechanismParams(variant=Variant.Z3_PRS, link_length=50.0)
     with pytest.raises(ValueError):
         MechanismParams(variant=Variant.Z3_PRS, azimuths=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("name", ["r_base", "r_platform", "link_length"])
+def test_params_reject_lengths_beyond_max(name):
+    # home_height squares the lengths, which would overflow near 1.3e154
+    with pytest.raises(ValueError, match=f"{name} must be at most"):
+        MechanismParams(variant=Variant.Z3_PRS, **{name: 1e155})
+    # the bound itself is accepted
+    MechanismParams(Variant.Z3_PRS, r_base=MAX_LENGTH, r_platform=MAX_LENGTH, link_length=MAX_LENGTH)
+
+
+def test_layout_arrays_are_readonly(params):
+    layout = params.layout
+    for name in ("cos", "sin", "body", "anchor", "tangent"):
+        with pytest.raises(ValueError):
+            getattr(layout, name)[0] = 1.0
+
+
+def test_layout_is_built_from_math_trig():
+    params = MechanismParams(variant=Variant.A3_RPS, azimuths=(0.1, 2.2, 4.0), r_platform=180.0)
+    layout = params.layout
+    assert layout.cos.tolist() == [math.cos(xi) for xi in params.azimuths]
+    assert layout.sin.tolist() == [math.sin(xi) for xi in params.azimuths]
+    for limb, (c, s) in enumerate(zip(layout.cos.tolist(), layout.sin.tolist())):
+        assert layout.body[limb].tolist() == [180.0 * c, 180.0 * s, 0.0]
+        assert layout.anchor[limb].tolist() == [350.0 * c, 350.0 * s, 0.0]
+        assert layout.tangent[limb].tolist() == [-s, c, 0.0]
+
+
+def test_layout_follows_replace(z3_params):
+    stock = z3_params.layout
+    moved = dataclasses.replace(z3_params, azimuths=(0.1, 2.2, 4.0), r_platform=180.0)
+    assert moved.layout is not stock
+    assert moved.layout.cos.tolist() == [math.cos(xi) for xi in (0.1, 2.2, 4.0)]
+    assert moved.layout.body[0].tolist() == [180.0 * math.cos(0.1), 180.0 * math.sin(0.1), 0.0]
+    assert z3_params.layout is stock
+
+
+def test_layout_stays_readonly_through_copies(params):
+    params.layout
+    for twin in (pickle.loads(pickle.dumps(params)), copy.deepcopy(params), copy.copy(params)):
+        assert twin == params
+        assert not twin.layout.body.flags.writeable
+        assert np.array_equal(twin.layout.body, params.layout.body)
+
+
+def test_layout_leaves_equality_and_hash_alone(params):
+    fresh = dataclasses.replace(params)
+    before = hash(params)
+    assert params.layout is params.layout
+    assert params == fresh and fresh == params
+    assert hash(params) == before == hash(fresh)
 
 
 def test_stroke_limits_per_variant(z3_params, a3_params):

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pkm import kernel
+from pkm import kernel, parasitic
 from pkm.errors import CELL_ERRORS, CellStatus
 from pkm.geometry import (
     MechanismParams,
@@ -26,7 +26,12 @@ from pkm.kinematics import inverse_kinematics
 from pkm.parasitic import solve_loop_closure
 from pkm.stiffness import assemble_stiffness
 
-from oracles import parasitic_second_order
+from oracles import (
+    assert_wrench_columns_close,
+    parasitic_second_order,
+    rotation_from_tilts_scipy,
+    wrench_matrix_reference,
+)
 
 OFFSETS = (0.0, -50.0, -100.0)
 KAPPA_MIN_INV = 0.05
@@ -177,6 +182,37 @@ def test_stroke_limits_are_inclusive(variant):
             limited = replace(params, **{name: limit})
             table = assert_matches_scalar(limited, *axes, home_height(limited))
             assert table["inside_0"].values[1, 1] == inside, (name, limit)
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_kernel_wrench_matrix_matches_reference(variant):
+    # G from the kernel's own stages, checked on every OK cell against a
+    # reference that shares no code with the scalar chain
+    params = default_params(variant)
+    psi_axis, theta_axis = tilt_axes(9, 40.0)
+    psi = np.repeat(psi_axis, theta_axis.size)
+    theta = np.tile(theta_axis, psi_axis.size)
+    ry, rx = kernel._rotations(theta, 1), kernel._rotations(psi, 0)
+    u, closed = kernel._solve_closure(params, ry, rx)
+    attachment = parasitic._attachments(params, kernel._orientations(ry, rx, u[:, 2]))
+    for dz in OFFSETS:
+        z = home_height(params) + dz
+        limbs, status = kernel._inverse_kinematics(params, attachment, u, z, closed)
+        G, _, status = kernel._jacobian(params, limbs, status)
+        ok = np.flatnonzero(status == CellStatus.OK)
+        assert ok.size == psi.size
+        for n in ok:
+            R = rotation_from_tilts_scipy(psi[n], theta[n], u[n, 2])
+            want = wrench_matrix_reference(
+                variant.value,
+                params.r_base,
+                params.r_platform,
+                params.link_length,
+                params.azimuths,
+                (u[n, 0], u[n, 1], z),
+                R,
+            )
+            assert_wrench_columns_close(G[n], want)
 
 
 def test_table_columns_are_sweep_grids():

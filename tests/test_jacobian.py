@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import random_compatible_pose
-from oracles import kappa_eig, projector_pinv, rotate_pose_step
+from oracles import (
+    assert_wrench_columns_close,
+    kappa_eig,
+    projector_pinv,
+    rotate_pose_step,
+    wrench_matrix_reference,
+)
 from pkm.errors import RankDeficiency, SingularLimb
 from pkm.geometry import (
     MechanismParams,
@@ -122,6 +128,21 @@ def test_condition_number_symmetric_under_limb_relabel(params, rng):
         assert relabeled == pytest.approx(np.roll(lengths, 1), abs=1e-9)
 
 
+def test_wrench_matrix_matches_reference(params, rng):
+    for _ in range(60):
+        pose = random_compatible_pose(params, rng).pose
+        want = wrench_matrix_reference(
+            params.variant.value,
+            params.r_base,
+            params.r_platform,
+            params.link_length,
+            params.azimuths,
+            pose.p,
+            pose.R,
+        )
+        assert_wrench_columns_close(build_jacobian(params, pose).G, want)
+
+
 def test_singular_limb_detection(z3_params):
     pose = home_pose(z3_params)
     horizontal = np.array([100.0, 0.0, 0.0])
@@ -130,8 +151,8 @@ def test_singular_limb_detection(z3_params):
         g=np.array([-100.0, 0.0, 0.0]),
         l1=horizontal,
         actuated_length=0.0,
-        s1_par=Z_AXIS,
-        s2_par=np.array([0.0, 1.0, 0.0]),
+        actuated=Z_AXIS,
+        revolute=np.array([0.0, 1.0, 0.0]),
         R_spherical=np.eye(3),
     )
     with pytest.raises(SingularLimb):

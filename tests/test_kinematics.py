@@ -7,14 +7,7 @@ from conftest import random_compatible_pose
 from oracles import ik_a3_reference, ik_z3_reference
 from pkm.errors import ConstraintViolation, GimbalDegeneracy, UnreachablePose
 from pkm.geometry import Pose, Variant, home_height, home_pose, pose_from_tilts, rot_x, rot_y, rot_z
-from pkm.kinematics import (
-    actuated_axis,
-    inverse_kinematics,
-    limb_frame_coords,
-    revolute_axis,
-    spherical_joint_angles,
-    spherical_joint_frame,
-)
+from pkm.kinematics import inverse_kinematics, spherical_joint_angles, spherical_joint_frame
 
 
 def test_home_slides_are_zero(z3_params):
@@ -147,8 +140,7 @@ def test_joint_axis_selection(params, rng):
     for limb, state in enumerate(inverse_kinematics(params, cp.pose), start=1):
         xi = params.azimuths[limb - 1]
         tangent = np.array([-math.sin(xi), math.cos(xi), 0.0])
-        axis = actuated_axis(params, state)
-        rev = revolute_axis(params, state)
+        axis, rev = state.actuated, state.revolute
         assert rev == pytest.approx(tangent, abs=1e-12)
         if params.variant is Variant.Z3_PRS:
             assert axis == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
@@ -159,7 +151,5 @@ def test_joint_axis_selection(params, rng):
 
 
 def test_limb_frame_coords_home(params):
-    pose = home_pose(params)
-    for limb in (1, 2, 3):
-        g = limb_frame_coords(params, pose, limb)
-        assert g == pytest.approx([-100.0, 0.0, home_height(params)], abs=1e-10)
+    for state in inverse_kinematics(params, home_pose(params)):
+        assert state.g == pytest.approx([-100.0, 0.0, home_height(params)], abs=1e-10)

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from oracles import parasitic_second_order, path_end_reference, path_rates_reference
 from pkm import parasitic
 from pkm.errors import IntegrationDiverged, NoConvergence, UnreachablePose
-from pkm.geometry import MechanismParams, Pose, Variant, default_params, home_height, rot_z
+from pkm.geometry import MAX_LENGTH, MechanismParams, Pose, Variant, default_params, home_height, rot_z
 from pkm.grids import tilt_axes
 from pkm.jacobian import build_jacobian
 from pkm.kernel import evaluate_grid
-from pkm.kinematics import inverse_kinematics, limb_frame_coords
+from pkm.kinematics import inverse_kinematics
 from pkm.parasitic import (
     coupling_matrices,
     integrate_parasitic_path,
@@ -63,8 +63,8 @@ def test_closure_residual_is_tiny(params, rng):
     for _ in range(20):
         psi, theta = rng.uniform(-0.7, 0.7, size=2)
         cp = solve_loop_closure(params, psi, theta)
-        for limb in (1, 2, 3):
-            assert abs(limb_frame_coords(params, cp.pose, limb)[1]) < 1e-9
+        for state in inverse_kinematics(params, cp.pose):
+            assert abs(state.g[1]) < 1e-9
 
 
 def test_small_tilt_expansion(params):
@@ -218,11 +218,11 @@ def test_too_few_steps_leave_the_end_point_off_the_manifold(params, steps):
         integrate_parasitic_path(params, TILT_60, TILT_60, steps=steps)
 
 
-@pytest.mark.parametrize("r_platform", [1e-300, 1e300])
+@pytest.mark.parametrize("r_platform", [1e-300, 0.5 * MAX_LENGTH])
 def test_extreme_scale_paths_raise_only_integration_diverged(r_platform):
     # no bare arithmetic error (ZeroDivisionError, math domain ValueError,
-    # OverflowError) escapes the step loop; z is given because home_height
-    # squares the lengths
+    # OverflowError) escapes the step loop, down to denormal scales and up
+    # to the largest lengths MechanismParams accepts
     params = MechanismParams(
         variant=Variant.Z3_PRS,
         r_base=max(350.0, r_platform),
