@@ -120,6 +120,13 @@ class MechanismParams:
             raise ValueError("exactly three limb azimuths required")
         lo, hi = self.stroke_limits()
         if not lo < hi:  # also rejects NaN bounds
+            default_lo, default_hi = self._default_stroke_limits()
+            if None in (self.stroke_min, self.stroke_max) and default_lo == default_hi:
+                raise ValueError(
+                    "the default stroke interval [link_length - 300, link_length + 300] "
+                    f"collapses to {default_lo!r} at link_length {self.link_length!r} mm; "
+                    "set stroke_min and stroke_max"
+                )
             raise ValueError(f"empty stroke interval [{lo}, {hi}]")
 
     @functools.cached_property
@@ -136,12 +143,14 @@ class MechanismParams:
         # copies and unpickled machines rebuild the layout: pickle would hand back writable arrays
         return {name: value for name, value in self.__dict__.items() if name != "layout"}
 
+    def _default_stroke_limits(self) -> tuple[float, float]:
+        if self.variant is Variant.Z3_PRS:
+            return -300.0, 300.0
+        return self.link_length - 300.0, self.link_length + 300.0
+
     def stroke_limits(self) -> tuple[float, float]:
         """Resolved (lo, hi) actuated-length bounds for this variant."""
-        if self.variant is Variant.Z3_PRS:
-            lo, hi = -300.0, 300.0
-        else:
-            lo, hi = self.link_length - 300.0, self.link_length + 300.0
+        lo, hi = self._default_stroke_limits()
         if self.stroke_min is not None:
             lo = self.stroke_min
         if self.stroke_max is not None:

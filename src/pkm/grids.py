@@ -28,6 +28,20 @@ def _frozen(array) -> np.ndarray:
     return array
 
 
+def check_axes(*axes: np.ndarray) -> None:
+    """Raise ValueError unless every axis (a float array) is one-dimensional,
+    non-empty, finite and strictly increasing."""
+    for axis in axes:
+        if axis.ndim != 1:
+            raise ValueError("axes must be one-dimensional")
+        if axis.size == 0:
+            raise ValueError("axes must not be empty")
+        if not np.all(np.isfinite(axis)):
+            raise ValueError("axes must be finite")
+        if np.any(np.diff(axis) <= 0.0):
+            raise ValueError("axes must be strictly increasing")
+
+
 @dataclass(frozen=True, eq=False)
 class SweepGrid:
     """One scalar field over a tilt grid, frozen; a non-finite value marks a missing cell."""
@@ -41,10 +55,7 @@ class SweepGrid:
         psi = _frozen(self.psi_axis)
         theta = _frozen(self.theta_axis)
         values = _frozen(self.values)
-        if psi.ndim != 1 or theta.ndim != 1:
-            raise ValueError("axes must be one-dimensional")
-        if np.any(np.diff(psi) <= 0.0) or np.any(np.diff(theta) <= 0.0):
-            raise ValueError("axes must be strictly increasing")
+        check_axes(psi, theta)
         if values.shape != (psi.size, theta.size):
             raise ValueError("field shape must be (len(psi_axis), len(theta_axis))")
         mask = np.isfinite(values)

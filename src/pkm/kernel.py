@@ -20,7 +20,7 @@ import numpy as np
 from . import parasitic
 from .errors import CellStatus
 from .geometry import MechanismParams, Variant, home_height
-from .grids import SweepGrid
+from .grids import SweepGrid, check_axes
 from .jacobian import RANK_TOL, SINGULAR_LIMB_TOL, SINGULAR_TOL, _wrench_matrix
 from .kinematics import CONSTRAINT_TOL, HINGE_TOL
 from .parasitic import CLOSURE_MAX_ITER, CLOSURE_TOL, DAMPING_TRIES
@@ -66,6 +66,14 @@ class LimbStack:
     length: np.ndarray  # actuated lengths, (N, 3)
     actuated: np.ndarray  # actuated joint axes
 
+    def take(self, cells: np.ndarray) -> LimbStack:
+        """The limbs of the given cells only, cells increasing as np.flatnonzero gives them."""
+        if len(cells) == len(self.l1):
+            return self  # every cell: a copy would only raise the peak memory
+        return LimbStack(
+            self.attachment[cells], self.l1[cells], self.length[cells], self.actuated[cells]
+        )
+
 
 def _rotate_z(c, s, v: np.ndarray) -> np.ndarray:
     """rot_z(angle) @ v over the last axis, given the angle's cos and sin."""
@@ -83,7 +91,9 @@ def _rotations(angles: np.ndarray, axis: int) -> np.ndarray:
     The cos and sin come from math, as in the scalar functions: the closure
     has to reproduce solve_loop_closure bit for bit, because the grid means
     of the odd parasitic fields cancel down to rounding noise, where a
-    single bit of one cell shows.
+    single bit of one cell shows.  evaluate_grid builds rot_x(psi) and
+    rot_y(theta) once per axis value and indexes them into its cells; the
+    closure builds rot_z(gamma) per cell.
     """
     values = angles.tolist()
     c = np.array([math.cos(a) for a in values])
@@ -214,8 +224,13 @@ def _jacobian(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """build_jacobian for every cell: G (N, 6, 6), kappa (N,) and the updated status.
 
-    The rank check and the homogenized kappa run, as batched SVDs, only on
-    the cells still OK; kappa is NaN elsewhere.
+    The rank checks and the homogenized kappa run, as batched SVDs, only on
+    the cells still OK; kappa is NaN elsewhere.  The full SVD of the scaled
+    Gc runs first.  build_jacobian's check on the unscaled Gc then runs only
+    where the scaled ratio is below 2 max(r, 1/r) RANK_TOL, r the platform
+    radius: elsewhere ratio(Gc) >= ratio(scaled Gc) min(r, 1/r) rules rank
+    loss out, with a factor 2 to spare for rounding.  Both checks set
+    RANK_DEFICIENCY, so their order changes no status.
     """
     divisor = (limbs.l1 * limbs.actuated).sum(axis=-1)
     singular = np.abs(divisor) < SINGULAR_LIMB_TOL
@@ -225,15 +240,15 @@ def _jacobian(
 
     kappa = np.full(len(G), np.nan)
     ok = np.flatnonzero(status == OK)
-    sigma = np.linalg.svd(G[ok, :, 3:], compute_uv=False)
-    lost = sigma[:, -1] < RANK_TOL * sigma[:, 0]
-    status[ok[lost]] = CellStatus.RANK_DEFICIENCY
-    ok = ok[~lost]
+    r = params.r_platform
     # homogenized_jacobian: moment rows over the platform radius on Ga and Gc
     scaled = G[ok]
-    scaled[:, 3:, :] /= params.r_platform
+    scaled[:, 3:, :] /= r
     U, sigma, _ = np.linalg.svd(scaled[:, :, 3:], full_matrices=True)
     lost = sigma[:, -1] < RANK_TOL * sigma[:, 0]
+    near = np.flatnonzero(~lost & (sigma[:, -1] < 2.0 * max(r, 1.0 / r) * RANK_TOL * sigma[:, 0]))
+    sigma = np.linalg.svd(G[ok[near], :, 3:], compute_uv=False)
+    lost[near] = sigma[:, -1] < RANK_TOL * sigma[:, 0]
     status[ok[lost]] = CellStatus.RANK_DEFICIENCY
     J = np.swapaxes(scaled[~lost, :, :3], 1, 2) @ U[~lost, :, 3:]
     ok = ok[~lost]
@@ -263,17 +278,17 @@ def _stiffness_diagonal(params: MechanismParams, G: np.ndarray, l1: np.ndarray) 
 
 def _evaluate_cells(
     params: MechanismParams,
-    psi: np.ndarray,
-    theta: np.ndarray,
+    ry: np.ndarray,
+    rx: np.ndarray,
     z0: float,
     offsets: tuple[float, ...],
     kappa_min_inv: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Records (N, len(RECORD) + len(offsets)) and status codes of a stack of cells."""
-    values = np.full((psi.size, len(RECORD) + len(offsets)), np.nan)
+    """Records (N, len(RECORD) + len(offsets)) and status codes of a stack of
+    cells, given each cell's rot_y(theta) and rot_x(psi)."""
+    values = np.full((len(rx), len(RECORD) + len(offsets)), np.nan)
     values[:, len(RECORD) :] = 0.0
-    status = np.empty((psi.size, 1 + len(offsets)), dtype=np.int8)
-    ry, rx = _rotations(theta, 1), _rotations(psi, 0)
+    status = np.empty((len(rx), 1 + len(offsets)), dtype=np.int8)
     u, status[:, 0] = _solve_closure(params, ry, rx)
     closed = status[:, 0] == OK
     values[closed, :3] = u[closed]
@@ -283,8 +298,19 @@ def _evaluate_cells(
     attachment = parasitic._attachments(params, _orientations(ry, rx, u[:, 2]))
     lo, hi = params.stroke_limits()
     for k, dz in enumerate(offsets):
-        limbs, cell_status = _inverse_kinematics(params, attachment, u, z0 + dz, status[:, 0])
-        G, kappa, cell_status = _jacobian(params, limbs, cell_status)
+        limbs, ik_status = _inverse_kinematics(params, attachment, u, z0 + dz, status[:, 0])
+        if k == 0:
+            G, kappa, cell_status = _jacobian(params, limbs, ik_status)
+        else:
+            # G, kappa and the status depend on the offset only through l1 and
+            # the IK status: where both are bit for bit the previous offset's
+            # (every rail-head cell of the stock grids), the previous results stand
+            same = (limbs.l1.view(np.uint64) == l1.view(np.uint64)).all(axis=(1, 2))
+            fresh = np.flatnonzero(~(same & (ik_status == previous)))
+            G[fresh], kappa[fresh], cell_status[fresh] = _jacobian(
+                params, limbs.take(fresh), ik_status[fresh]
+            )
+        l1, previous = limbs.l1, ik_status
         ok = cell_status == OK
         if k == 0:
             values[ok, 3] = kappa[ok]
@@ -309,22 +335,26 @@ def evaluate_grid(
     z0 + dz for each offset, z0 the home height by default, and kappa and
     the stiffness diagonal come from the first (offsets=() solves only the
     closure).  inside_k is 1 where the chain succeeded at offset k, the
-    strokes are within their limits and 1/kappa >= kappa_min_inv.  The
-    table's arrays, axis copies included, are read-only.
+    strokes are within their limits and 1/kappa >= kappa_min_inv.  Both
+    axes must be one-dimensional, non-empty, finite and strictly
+    increasing.  The table's arrays, axis copies included, are read-only.
     """
     psi_axis = np.array(psi_axis, dtype=float)
     theta_axis = np.array(theta_axis, dtype=float)
+    check_axes(psi_axis, theta_axis)
     parasitic._check_tilt_bounds(np.abs(psi_axis).max(), np.abs(theta_axis).max())
     if z0 is None:
         z0 = home_height(params)
     rows = max(1, BLOCK_CELLS // theta_axis.size)
+    # each tilt rotation depends on one axis value: build it once per value
+    rx_axis, ry_axis = _rotations(psi_axis, 0), _rotations(theta_axis, 1)
     values, status = [], []
     for start in range(0, psi_axis.size, rows):
-        psi_rows = psi_axis[start : start + rows]
+        rx_rows = rx_axis[start : start + rows]
         block = _evaluate_cells(
             params,
-            np.repeat(psi_rows, theta_axis.size),
-            np.tile(theta_axis, psi_rows.size),
+            np.tile(ry_axis, (len(rx_rows), 1, 1)),
+            np.repeat(rx_rows, theta_axis.size, axis=0),
             z0,
             offsets,
             kappa_min_inv,

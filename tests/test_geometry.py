@@ -188,6 +188,25 @@ def test_params_reject_empty_or_nan_stroke_interval():
             MechanismParams(variant=Variant.Z3_PRS, stroke_min=lo, stroke_max=hi)
 
 
+def test_params_name_the_collapsed_default_stroke_interval():
+    # link_length +/- 300 rounds to link_length itself above 2**62 mm
+    lengths = {"r_base": 0.56e150, "r_platform": 0.4e150, "link_length": 1e150}
+    for given in ({}, {"stroke_min": 1e150}, {"stroke_max": 1e150}):
+        with pytest.raises(ValueError, match=r"default stroke interval .* set stroke_min and"):
+            MechanismParams(Variant.A3_RPS, **lengths, **given)
+    # a given limit that leaves an interval with the collapsed default is usable
+    usable = MechanismParams(Variant.A3_RPS, **lengths, stroke_min=0.0)
+    assert usable.stroke_limits() == (0.0, 1e150)
+    MechanismParams(Variant.Z3_PRS, **lengths)
+    # 2**62 is the last length whose default interval stays open
+    needle = {"r_base": 1.4, "r_platform": 1.0}
+    MechanismParams(Variant.A3_RPS, **needle, link_length=2.0**62)
+    with pytest.raises(ValueError, match="default stroke interval"):
+        MechanismParams(Variant.A3_RPS, **needle, link_length=np.nextafter(2.0**62, math.inf))
+    with pytest.raises(ValueError, match="empty stroke interval"):
+        MechanismParams(Variant.A3_RPS, stroke_min=1e4)
+
+
 def test_stiffness_coeffs_validation():
     with pytest.raises(ValueError):
         StiffnessCoeffs(k_carriage=0.0)

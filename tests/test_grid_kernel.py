@@ -143,6 +143,19 @@ def test_kernel_matches_scalar_chain_on_stock_grid(variant):
         # only near home, the struts stretch to reach every cell
         (MechanismParams(Variant.Z3_PRS, link_length=100.001), 5, 30.0, None, {"UNREACHABLE"}),
         (MechanismParams(Variant.A3_RPS, link_length=100.001), 5, 30.0, None, set()),
+        # a needle 1e11 times longer than its radii: the revolute axes span two
+        # force directions, so the unscaled Gc's third singular value is that
+        # of its 1e-11 moments, and only the unscaled rank check fails it
+        *(
+            (
+                MechanismParams(v, r_base=1.4e-11, r_platform=1e-11, link_length=1.0),
+                5,
+                30.0,
+                None,
+                {"RANK_DEFICIENCY"},
+            )
+            for v in Variant
+        ),
     ],
     ids=[
         "short-link",
@@ -156,6 +169,8 @@ def test_kernel_matches_scalar_chain_on_stock_grid(variant):
         "coincident-hinge",
         "z3-near-short-link",
         "a3-near-short-link",
+        "z3-needle",
+        "a3-needle",
     ],
 )
 def test_kernel_matches_scalar_chain_on_edge_grids(params, grid_n, tilt_max_deg, z0, expected):
@@ -215,6 +230,68 @@ def test_kernel_wrench_matrix_matches_reference(variant):
             assert_wrench_columns_close(G[n], want)
 
 
+@pytest.mark.parametrize(
+    "variant, passes", [(Variant.Z3_PRS, 1), (Variant.A3_RPS, 3)], ids=["z3", "a3"]
+)
+def test_jacobian_reused_across_offsets(monkeypatch, variant, passes):
+    # z3's l1 is the same at every heave, bit for bit, so each cell's
+    # Jacobian carries over from the first offset; a3's struts tilt with heave
+    rows = []
+    jacobian = kernel._jacobian
+
+    def counted(params, limbs, status):
+        rows.append(len(status))
+        return jacobian(params, limbs, status)
+
+    monkeypatch.setattr(kernel, "_jacobian", counted)
+    psi_axis, theta_axis = tilt_axes(41, 40.0)
+    kernel.evaluate_grid(default_params(variant), psi_axis, theta_axis, None, OFFSETS)
+    assert sum(rows) == passes * psi_axis.size * theta_axis.size
+
+
+def assert_offsets_evaluate_alone(params, axes, z0):
+    """Each offset's status column and inside flags equal those of one
+    evaluate_grid call at that heave."""
+    table = kernel.evaluate_grid(params, *axes, z0, OFFSETS)
+    for k, dz in enumerate(OFFSETS):
+        alone = kernel.evaluate_grid(params, *axes, z0 + dz)
+        assert np.array_equal(table.status[..., 1 + k], alone.status[..., 1]), k
+        assert np.array_equal(table[f"inside_{k}"].values, alone["inside_0"].values), k
+
+
+@pytest.mark.parametrize(
+    "params, z0",
+    [
+        (MechanismParams(Variant.Z3_PRS, link_length=105.0), None),
+        (MechanismParams(Variant.Z3_PRS, stroke_min=-40.0, stroke_max=40.0), None),
+        # the middle offset puts the platform in the base plane
+        (default_params(Variant.A3_RPS), -OFFSETS[1]),
+    ],
+    ids=["z3-short-link", "stroke-cut", "a3-through-base"],
+)
+def test_offsets_evaluate_alone(params, z0):
+    z0 = home_height(params) if z0 is None else z0
+    assert_offsets_evaluate_alone(params, tilt_axes(9, 40.0), z0)
+
+
+def test_jacobian_reuse_follows_ik_status(monkeypatch):
+    # z3's IK status never changes with heave: fail every other cell at the
+    # middle offset only, where l1 stays bit for bit the same
+    params = default_params(Variant.Z3_PRS)
+    z0 = home_height(params)
+    inverse_kinematics = kernel._inverse_kinematics
+
+    def failing(params, attachment, u, z, status):
+        limbs, status = inverse_kinematics(params, attachment, u, z, status)
+        if z == z0 + OFFSETS[1]:
+            status = status.copy()
+            status[::2] = CellStatus.UNREACHABLE
+        return limbs, status
+
+    monkeypatch.setattr(kernel, "_inverse_kinematics", failing)
+    assert_offsets_evaluate_alone(params, tilt_axes(9, 40.0), z0)
+
+
 def test_table_columns_are_sweep_grids():
     params = default_params(Variant.Z3_PRS)
     psi_axis, theta_axis = tilt_axes(5, 30.0)
@@ -230,6 +307,29 @@ def test_table_columns_are_sweep_grids():
         assert np.array_equal(grid.mask, ~np.isnan(table.values[..., n]))
     with pytest.raises(KeyError):
         table[f"inside_{len(OFFSETS)}"]
+
+
+@pytest.mark.parametrize(
+    "psi_axis, message",
+    [
+        ([0.2, 0.1, 0.0], "strictly increasing"),
+        ([0.0, 0.1, 0.1], "strictly increasing"),
+        ([0.0, math.nan, 0.1], "finite"),
+        ([[0.0, 0.1], [0.2, 0.3]], "one-dimensional"),
+        ([], "not be empty"),
+    ],
+    ids=["decreasing", "repeated", "NaN", "2-D", "empty"],
+)
+def test_evaluate_grid_checks_axes_before_running(monkeypatch, psi_axis, message):
+    def no_cells(*args):
+        raise AssertionError("cells evaluated")
+
+    monkeypatch.setattr(kernel, "_evaluate_cells", no_cells)
+    theta_axis = np.linspace(-0.5, 0.5, 11)
+    params = default_params(Variant.Z3_PRS)
+    for psi, theta in ((psi_axis, theta_axis), (theta_axis, psi_axis)):
+        with pytest.raises(ValueError, match=message):
+            kernel.evaluate_grid(params, psi, theta, None, OFFSETS)
 
 
 # (grid_n, tilt_max_deg) of the whole-grid invariants

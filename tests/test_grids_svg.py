@@ -44,6 +44,13 @@ def test_grid_validation():
         SweepGrid(psi_axis=psi, theta_axis=theta, values=np.zeros((3, 4)))
     with pytest.raises(ValueError):
         SweepGrid(psi_axis=psi[::-1], theta_axis=theta, values=np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="not be empty"):
+        SweepGrid(psi_axis=psi[:0], theta_axis=theta, values=np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        SweepGrid(psi_axis=psi, theta_axis=theta[None, :], values=np.zeros((3, 3)))
+    for axis in ([0.0, np.nan, 1.0], [np.nan], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            SweepGrid(psi_axis=psi, theta_axis=axis, values=np.zeros((3, len(axis))))
     grid = SweepGrid(psi, theta, np.arange(9.0).reshape(3, 3))
     with pytest.raises(ValueError):
         grid.values[0, 0] = 7.0
