@@ -20,6 +20,8 @@ DEFAULT_AZIMUTHS = (0.0, TWO_THIRDS_PI, 2.0 * TWO_THIRDS_PI)
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 Z_AXIS.setflags(write=False)
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
 # mm; home_height squares the lengths, which overflows above about 1.3e154
 MAX_LENGTH = 1e150
 
@@ -72,15 +74,32 @@ class StiffnessCoeffs:
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
+    @functools.cached_property
+    def actuation(self) -> float:
+        """Series rate of the carriage, revolute and limb-body springs (N/mm)."""
+        return 1.0 / (1.0 / self.k_carriage + 1.0 / self.k_revolute + 1.0 / self.k_limb_body)
+
+    @functools.cached_property
+    def spherical(self) -> np.ndarray:
+        """diag(k_sx, k_sy, k_sz) of the spherical joint, read-only."""
+        return _readonly(np.diag([self.k_sx, self.k_sy, self.k_sz]))
+
+    def __getstate__(self):
+        # copies and unpickled coefficients rebuild the cached rates: pickle
+        # would hand back a writable matrix
+        return {k: v for k, v in self.__dict__.items() if k not in ("actuation", "spherical")}
+
 
 @dataclass(frozen=True, eq=False)
 class LimbLayout:
-    """Per limb, read-only: cos and sin of the azimuth xi, the spherical
-    joint in the platform frame (body), the base point (anchor), and the
-    limb-plane normal, which is the revolute axis (tangent)."""
+    """Per limb, read-only: cos and sin of the azimuth xi, rot_z(xi) (rz),
+    the spherical joint in the platform frame (body), the base point
+    (anchor), and the limb-plane normal, which is the revolute axis
+    (tangent)."""
 
     cos: np.ndarray
     sin: np.ndarray
+    rz: np.ndarray
     body: np.ndarray
     anchor: np.ndarray
     tangent: np.ndarray
@@ -136,7 +155,12 @@ class MechanismParams:
         unit = np.stack((cos, sin, np.zeros(3)), -1)
         tangent = np.stack((-sin, cos, np.zeros(3)), -1)
         return LimbLayout(
-            cos, sin, _readonly(self.r_platform * unit), _readonly(self.r_base * unit), _readonly(tangent)
+            cos,
+            sin,
+            _readonly([rot_z(xi) for xi in self.azimuths]),
+            _readonly(self.r_platform * unit),
+            _readonly(self.r_base * unit),
+            _readonly(tangent),
         )
 
     def __getstate__(self):
@@ -191,9 +215,9 @@ class Pose:
         R = _readonly(self.R)
         if p.shape != (3,) or R.shape != (3, 3):
             raise ValueError("Pose needs p of shape (3,) and R of shape (3, 3)")
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(R))):
+        if not all(map(math.isfinite, p.tolist() + R.ravel().tolist())):
             raise ValueError("Pose entries must be finite")
-        if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-12:
+        if np.abs(R.T @ R - _EYE3).max() > 1e-12:
             raise ValueError("R is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) > 1e-12:
             raise ValueError("R must be proper (det +1)")

@@ -14,13 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficiency, SingularConfiguration, SingularLimb
-from .geometry import MechanismParams, Pose, TaskRate, platform_attachment
+from .geometry import MechanismParams, Pose, TaskRate
 from .kinematics import LimbState, inverse_kinematics
 
 MOMENT_CONVENTION = "moment = attachment x direction, about platform centre"
 SINGULAR_LIMB_TOL = 1e-9  # |l1 . actuated axis| below this is a singular limb
 RANK_TOL = 1e-10  # smallest/largest singular value of the constraint wrenches
 SINGULAR_TOL = 1e-12  # smallest/largest singular value of the homogenized Jacobian
+_EYE6 = np.eye(6)
+_EYE6.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,13 +39,6 @@ class JacobianSet:
     moment_convention: str = MOMENT_CONVENTION
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b over the last axis, spelt out: np.cross costs about ten times more on 3-vectors."""
-    ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
-    bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack((ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx), -1)
-
-
 def _wrench_matrix(
     attachment: np.ndarray, l1: np.ndarray, divisor: np.ndarray, revolute: np.ndarray
 ) -> np.ndarray:
@@ -53,13 +48,18 @@ def _wrench_matrix(
     column 3 + i the constraint wrench (revolute_i, attachment_i x revolute_i).
     """
     lead = attachment.shape[:-2]
-    lines = np.empty(lead + (2, 3, 3))
-    lines[..., 0, :, :] = l1
-    lines[..., 1, :, :] = revolute
-    moments = _cross(attachment[..., None, :, :], lines)
     G = np.empty(lead + (6, 6))
-    G[..., :3, :] = np.swapaxes(lines.reshape(lead + (6, 3)), -1, -2)
-    G[..., 3:, :] = np.swapaxes(moments.reshape(lead + (6, 3)), -1, -2)
+    # G as [force or moment, component, actuation or constraint, limb]; the
+    # cross products are spelt out: np.cross costs about ten times more on 3-vectors
+    W = G.reshape(lead + (2, 3, 2, 3))
+    W[..., 0, :, 0, :] = np.swapaxes(l1, -1, -2)
+    W[..., 0, :, 1, :] = np.swapaxes(revolute, -1, -2)
+    bx, by, bz = W[..., 0, 0, :, :], W[..., 0, 1, :, :], W[..., 0, 2, :, :]
+    a = np.swapaxes(attachment, -1, -2)[..., None, :]
+    ax, ay, az = a[..., 0, :, :], a[..., 1, :, :], a[..., 2, :, :]
+    W[..., 1, 0, :, :] = ay * bz - az * by
+    W[..., 1, 1, :, :] = az * bx - ax * bz
+    W[..., 1, 2, :, :] = ax * by - ay * bx
     G[..., :3] /= divisor[..., None, :]
     return G
 
@@ -79,28 +79,51 @@ def build_jacobian(
             )
         divisors.append(divisor)
     G = _wrench_matrix(
-        np.array([platform_attachment(params, pose.R, limb) for limb in (1, 2, 3)]),
+        np.array([state.attachment for state in states]),
         np.array([state.l1 for state in states]),
         np.array(divisors),
         np.array([state.revolute for state in states]),
     )
     Ga, Gc = G[:, :3], G[:, 3:]
-    P, basis = _projector_and_null_basis(Gc)
-    J_hom, kappa = homogenized_jacobian(Ga, Gc, params)
+    # one batched SVD for Gc and the homogenized (scaled) Gc, checked in that order
+    pair = np.empty((2, 6, 3))
+    pair[0] = Gc
+    pair[1] = _scale_moments(Gc, params)
+    U = _constraint_svd(pair)
+    J_hom, kappa = _conditioning(_scale_moments(Ga, params), U[1, :, 3:])
     return JacobianSet(
-        G=G, Ga=Ga, Gc=Gc, P=P, feasible_basis=basis, J_hom=J_hom, kappa=kappa
+        G=G,
+        Ga=Ga,
+        Gc=Gc,
+        P=_projector(U[0]),
+        # a view into a copy of Gc's factor alone: a view of U would keep both
+        # factors alive, and a (6, 3) copy changes the bits of products with
+        # the basis (BLAS reads it with another leading dimension)
+        feasible_basis=U[0].copy()[:, 3:],
+        J_hom=J_hom,
+        kappa=kappa,
     )
 
 
-def _projector_and_null_basis(Gc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _constraint_svd(Gc: np.ndarray) -> np.ndarray:
+    """U of the full SVD of a stack of constraint wrench columns (k, 6, 3).
+
+    Raises RankDeficiency for the first member that has lost rank.
+    """
     U, sigma, _ = np.linalg.svd(Gc, full_matrices=True)
-    if sigma.min() < RANK_TOL * sigma.max():
-        raise RankDeficiency(
-            f"constraint wrenches span only rank {int(np.sum(sigma >= RANK_TOL * sigma.max()))}"
-        )
+    top = sigma.max(axis=-1)
+    for k, lost in enumerate((sigma.min(axis=-1) < RANK_TOL * top).tolist()):
+        if lost:
+            raise RankDeficiency(
+                f"constraint wrenches span only rank {int(np.sum(sigma[k] >= RANK_TOL * top[k]))}"
+            )
+    return U
+
+
+def _projector(U: np.ndarray) -> np.ndarray:
+    """I - Gc @ pinv(Gc) from the left singular vectors U (6, 6) of Gc."""
     range_basis = U[:, :3]
-    P = np.eye(6) - range_basis @ range_basis.T
-    return P, U[:, 3:]
+    return _EYE6 - range_basis @ range_basis.T
 
 
 def constraint_projector(Gc: np.ndarray) -> np.ndarray:
@@ -109,8 +132,7 @@ def constraint_projector(Gc: np.ndarray) -> np.ndarray:
     Computed as I - Gc @ pinv(Gc) through a rank-revealing decomposition;
     raises RankDeficiency when the three constraint wrenches degenerate.
     """
-    P, _ = _projector_and_null_basis(np.asarray(Gc, dtype=float))
-    return P
+    return _projector(_constraint_svd(np.asarray(Gc, dtype=float)[None])[0])
 
 
 def project_task_rate(P: np.ndarray, xdot) -> TaskRate:
@@ -121,6 +143,22 @@ def project_task_rate(P: np.ndarray, xdot) -> TaskRate:
     if xdot.shape != (6,):
         raise ValueError("task rate vector must have shape (6,)")
     return TaskRate.from_vector(np.asarray(P) @ xdot)
+
+
+def _scale_moments(columns: np.ndarray, params: MechanismParams) -> np.ndarray:
+    """A copy of wrench columns (6, n) with the moment rows over the platform radius."""
+    scaled = np.array(columns, dtype=float)
+    scaled[3:, :] /= params.r_platform
+    return scaled
+
+
+def _conditioning(scaled_a: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
+    """J = scaled_a^T @ basis and its condition number; raises SingularConfiguration."""
+    J = scaled_a.T @ basis
+    sigma = np.linalg.svd(J, compute_uv=False)
+    if sigma[-1] <= SINGULAR_TOL * sigma[0]:  # also a J that vanishes
+        raise SingularConfiguration("homogenized Jacobian is singular")
+    return J, float(sigma[0] / sigma[-1])
 
 
 def homogenized_jacobian(
@@ -137,13 +175,5 @@ def homogenized_jacobian(
     so the comparison between machines is well defined even though the
     characteristic length itself is a modelling choice.
     """
-    scaled_a = np.array(Ga, dtype=float)
-    scaled_a[3:, :] /= params.r_platform
-    scaled_c = np.array(Gc, dtype=float)
-    scaled_c[3:, :] /= params.r_platform
-    _, basis = _projector_and_null_basis(scaled_c)
-    J = scaled_a.T @ basis
-    sigma = np.linalg.svd(J, compute_uv=False)
-    if sigma[-1] <= SINGULAR_TOL * sigma[0]:  # also a J that vanishes
-        raise SingularConfiguration("homogenized Jacobian is singular")
-    return J, float(sigma[0] / sigma[-1])
+    U = _constraint_svd(_scale_moments(Gc, params)[None])
+    return _conditioning(_scale_moments(Ga, params), U[0, :, 3:])

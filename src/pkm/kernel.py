@@ -262,7 +262,6 @@ def _jacobian(
 def _stiffness_diagonal(params: MechanismParams, G: np.ndarray, l1: np.ndarray) -> np.ndarray:
     """diag(K) of assemble_stiffness, (N, 6), for stacks of OK cells only."""
     coeffs = params.stiffness
-    k_a = 1.0 / (1.0 / coeffs.k_carriage + 1.0 / coeffs.k_revolute + 1.0 / coeffs.k_limb_body)
     # limb_series_stiffness: the spherical joint's rate about the revolute
     # axis, with R_spherical = rot_z(xi) @ rot_y(theta2) of the distal body
     c, s = params.layout.cos, params.layout.sin
@@ -272,7 +271,7 @@ def _stiffness_diagonal(params: MechanismParams, G: np.ndarray, l1: np.ndarray) 
     v = _rotate_z(c, s, _rotate_y(np.cos(theta2), np.sin(theta2), axis))
     k_s = (np.array([coeffs.k_sx, coeffs.k_sy, coeffs.k_sz]) * v * v).sum(axis=-1)
     k_c = 1.0 / (1.0 / k_s + 1.0 / coeffs.k_limb_body)
-    rates = np.concatenate((np.full(k_c.shape, k_a), k_c), axis=1)
+    rates = np.concatenate((np.full(k_c.shape, coeffs.actuation), k_c), axis=1)
     return np.einsum("nrc,nc,nrc->nr", G, rates, G)
 
 
@@ -307,9 +306,10 @@ def _evaluate_cells(
             # (every rail-head cell of the stock grids), the previous results stand
             same = (limbs.l1.view(np.uint64) == l1.view(np.uint64)).all(axis=(1, 2))
             fresh = np.flatnonzero(~(same & (ik_status == previous)))
-            G[fresh], kappa[fresh], cell_status[fresh] = _jacobian(
-                params, limbs.take(fresh), ik_status[fresh]
-            )
+            if fresh.size:
+                G[fresh], kappa[fresh], cell_status[fresh] = _jacobian(
+                    params, limbs.take(fresh), ik_status[fresh]
+                )
         l1, previous = limbs.l1, ik_status
         ok = cell_status == OK
         if k == 0:

@@ -21,7 +21,6 @@ from .geometry import (
     Z_AXIS,
     home_height,
     limb_azimuth,
-    platform_attachment,
     rot_y,
     rot_z,
 )
@@ -34,13 +33,16 @@ HINGE_TOL = 1e-9  # mm; a strut shorter than this has its joint on the base hing
 class LimbState:
     """Resolved geometry of one limb at a given pose.
 
-    l1 is the link vector along the limb (carriage-to-joint for the PRS
-    head, hinge-to-joint for the RPS head).  actuated is the direction of
-    the actuated prismatic joint, revolute the axis of the revolute joint:
-    the limb-plane normal, which doubles as the constraint direction.
+    attachment runs from the platform centre to the spherical joint, world
+    frame, as platform_attachment gives it.  l1 is the link vector along
+    the limb (carriage-to-joint for the PRS head, hinge-to-joint for the RPS
+    head).  actuated is the direction of the actuated prismatic joint,
+    revolute the axis of the revolute joint: the limb-plane normal, which
+    doubles as the constraint direction.
     """
 
     anchor: np.ndarray
+    attachment: np.ndarray
     g: np.ndarray
     l1: np.ndarray
     actuated_length: float
@@ -49,21 +51,12 @@ class LimbState:
     R_spherical: np.ndarray
 
 
-def _limb_joint(params: MechanismParams, pose: Pose, limb: int) -> tuple[np.ndarray, np.ndarray]:
-    """World spherical-joint point and its limb-frame coordinates g."""
-    xi = limb_azimuth(params, limb)
-    joint = pose.p + platform_attachment(params, pose.R, limb)
-    g = rot_z(xi).T @ joint
-    g[0] -= params.r_base
-    return joint, g
-
-
-def _distal_rotation(params: MechanismParams, l1: np.ndarray, limb: int) -> np.ndarray:
-    """Orientation of the limb's distal body: azimuth turn then revolute pitch."""
-    xi = limb_azimuth(params, limb)
-    l1_limb = rot_z(xi).T @ l1
+def _distal_rotation(rz: np.ndarray, l1: np.ndarray) -> np.ndarray:
+    """Orientation of the limb's distal body: azimuth turn rz = rot_z(xi),
+    then revolute pitch."""
+    l1_limb = rz.T @ l1
     theta2 = math.atan2(l1_limb[0], l1_limb[2])
-    return rot_z(xi) @ rot_y(theta2)
+    return rz @ rot_y(theta2)
 
 
 def inverse_kinematics(
@@ -82,7 +75,12 @@ def inverse_kinematics(
     layout = params.layout
     states = []
     for limb in (1, 2, 3):
-        joint, g = _limb_joint(params, pose, limb)
+        # the spherical joint in the world and in limb-frame coordinates g
+        rz = layout.rz[limb - 1]
+        attachment = pose.R @ layout.body[limb - 1]
+        joint = pose.p + attachment
+        g = rz.T @ joint
+        g[0] -= params.r_base
         if rail:
             disc = params.link_length**2 - g[0] ** 2 - g[1] ** 2
             if disc < 0.0:
@@ -103,16 +101,17 @@ def inverse_kinematics(
             if length < HINGE_TOL:
                 raise UnreachablePose(f"limb {limb}: joint coincides with the base hinge")
             l1 = joint - anchor
-            actuated = l1 / np.linalg.norm(l1)
+            actuated = l1 / math.sqrt(l1 @ l1)  # np.linalg.norm's arithmetic
         states.append(
             LimbState(
                 anchor=anchor,
+                attachment=attachment,
                 g=g,
                 l1=l1,
                 actuated_length=length,
                 actuated=actuated,
                 revolute=layout.tangent[limb - 1],
-                R_spherical=_distal_rotation(params, l1, limb),
+                R_spherical=_distal_rotation(rz, l1),
             )
         )
     return states

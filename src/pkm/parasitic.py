@@ -18,8 +18,10 @@ from .geometry import (
     MechanismParams,
     Pose,
     home_height,
-    orientation_from_tilts,
     pose_from_tilts,
+    rot_x,
+    rot_y,
+    rot_z,
 )
 from .grids import SweepGrid
 
@@ -61,21 +63,23 @@ def _attachments(params: MechanismParams, R: np.ndarray) -> np.ndarray:
     return params.layout.body @ np.swapaxes(R, -1, -2)
 
 
-def _coupling_rows(params: MechanismParams, attachments: np.ndarray):
-    """C1 (..., 3, 3) and C2 (..., 3, 2) from attachments of shape (..., 3, 3)."""
+def _constraint_rows(params: MechanismParams, attachments: np.ndarray) -> np.ndarray:
+    """C1 (..., 3, 3) from attachments of shape (..., 3, 3): limb i's row is
+    (-sin xi_i, cos xi_i, a_ix cos xi_i + a_iy sin xi_i)."""
     c, s = params.layout.cos, params.layout.sin
-    ax, ay, az = attachments[..., 0], attachments[..., 1], attachments[..., 2]
     C1 = np.empty(attachments.shape)
     C1[..., 0] = -s
     C1[..., 1] = c
-    C1[..., 2] = ax * c + ay * s
-    C2 = np.stack((az * c, az * s), axis=-1)
-    return C1, C2
+    C1[..., 2] = attachments[..., 0] * c + attachments[..., 1] * s
+    return C1
 
 
 def coupling_matrices(params: MechanismParams, pose: Pose) -> ParasiticCoupling:
     """Expand the constraint rows into the dependent/independent rate split."""
-    C1, C2 = _coupling_rows(params, _attachments(params, pose.R))
+    attachments = _attachments(params, pose.R)
+    C1 = _constraint_rows(params, attachments)
+    az = attachments[..., 2]
+    C2 = np.stack((az * params.layout.cos, az * params.layout.sin), axis=-1)
     det = np.linalg.det(C1)
     if abs(det) < 1e-9 * np.linalg.norm(C1, 2) ** 3:
         raise CouplingSingular(f"coupling system determinant {det:.3g} too small")
@@ -84,7 +88,7 @@ def coupling_matrices(params: MechanismParams, pose: Pose) -> ParasiticCoupling:
 
 
 def _closure_rows(params: MechanismParams, attachments: np.ndarray, u: np.ndarray):
-    """Tangential offsets g_iy and their Jacobian with respect to u = (x, y, gamma).
+    """Tangential offsets g_iy and their Jacobian C1 with respect to u = (x, y, gamma).
 
     attachments (..., 3, 3) belong to the orientation at u[..., 2]; the
     heave does not enter, so neither does z.
@@ -92,14 +96,13 @@ def _closure_rows(params: MechanismParams, attachments: np.ndarray, u: np.ndarra
     c, s = params.layout.cos, params.layout.sin
     x, y = u[..., 0, None], u[..., 1, None]
     residual = -s * (x + attachments[..., 0]) + c * (y + attachments[..., 1])
-    C1, _ = _coupling_rows(params, attachments)
-    return residual, C1
+    return residual, _constraint_rows(params, attachments)
 
 
-def _closure_residual(params: MechanismParams, psi: float, theta: float, u):
-    """_closure_rows at the orientation for tilts (psi, theta) and torsion u[2]."""
-    R = orientation_from_tilts(psi, theta, u[2])
-    return _closure_rows(params, _attachments(params, R), u)
+def _closure_residual(params: MechanismParams, ry: np.ndarray, rx: np.ndarray, u):
+    """_closure_rows at the orientation rot_z(u[2]) @ ry @ rx, where ry and
+    rx are rot_y(theta) and rot_x(psi) of the tilts."""
+    return _closure_rows(params, _attachments(params, rot_z(u[2]) @ ry @ rx), u)
 
 
 def _check_tilt_bounds(psi: float, theta: float) -> None:
@@ -125,9 +128,11 @@ def solve_loop_closure(
     _check_tilt_bounds(psi, theta)
     if z is None:
         z = home_height(params)
+    # orientation_from_tilts, with the tilt rotations built once per solve
+    ry, rx = rot_y(theta), rot_x(psi)
     u = np.zeros(3)
-    residual, jac = _closure_residual(params, psi, theta, u)
-    norm = np.max(np.abs(residual))
+    residual, jac = _closure_residual(params, ry, rx, u)
+    norm = np.abs(residual).max()
     converged = norm < CLOSURE_TOL
     for _ in range(CLOSURE_MAX_ITER):
         if converged:
@@ -139,8 +144,8 @@ def solve_loop_closure(
         scale = 1.0
         for _halving in range(DAMPING_TRIES):
             trial = u + scale * step
-            trial_residual, trial_jac = _closure_residual(params, psi, theta, trial)
-            trial_norm = np.max(np.abs(trial_residual))
+            trial_residual, trial_jac = _closure_residual(params, ry, rx, trial)
+            trial_norm = np.abs(trial_residual).max()
             if trial_norm < norm or trial_norm < CLOSURE_TOL:
                 break
             scale *= 0.5
@@ -258,8 +263,8 @@ def integrate_parasitic_path(
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(g)):
             raise IntegrationDiverged(f"state blew up at path parameter {s + h:.4g}")
     u = np.array([x, y, g])
-    residual, _ = _closure_residual(params, psi, theta, u)
-    drift = float(np.max(np.abs(residual)))
+    residual, _ = _closure_residual(params, rot_y(theta), rot_x(psi), u)
+    drift = float(np.abs(residual).max())
     if drift > 1e-6:
         raise IntegrationDiverged(f"end-point constraint residual {drift:.3g} mm")
     return _compatible_pose(psi, theta, z, u)

@@ -7,6 +7,7 @@ K = G @ diag(k) @ G^T.  Diagonal entries are reported as axial measures
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +57,7 @@ def spherical_stiffness_effective(
     params: MechanismParams, R_spherical: np.ndarray, axis: np.ndarray
 ) -> float:
     """Torsional rate of the spherical joint about a world-frame axis."""
-    coeffs = params.stiffness
-    diag = np.diag([coeffs.k_sx, coeffs.k_sy, coeffs.k_sz])
-    rotated = R_spherical.T @ diag @ R_spherical
+    rotated = R_spherical.T @ params.stiffness.spherical @ R_spherical
     axis = np.asarray(axis, dtype=float)
     return float(axis @ rotated @ axis)
 
@@ -66,12 +65,11 @@ def spherical_stiffness_effective(
 def limb_series_stiffness(params: MechanismParams, state: LimbState) -> LimbStiffness:
     """Series-spring reduction of one limb's actuation and constraint chains."""
     coeffs = params.stiffness
-    k_a = 1.0 / (1.0 / coeffs.k_carriage + 1.0 / coeffs.k_revolute + 1.0 / coeffs.k_limb_body)
     k_s = spherical_stiffness_effective(params, state.R_spherical, state.revolute)
     if k_s <= 0.0:
         raise ValueError(f"effective spherical stiffness must be positive, got {k_s!r}")
     k_c = 1.0 / (1.0 / k_s + 1.0 / coeffs.k_limb_body)
-    return LimbStiffness(k_a=k_a, k_c=k_c)
+    return LimbStiffness(k_a=coeffs.actuation, k_c=k_c)
 
 
 def assemble_stiffness(
@@ -88,15 +86,15 @@ def assemble_stiffness(
     per_limb = tuple(limb_series_stiffness(params, state) for state in states)
     rates = np.array([ls.k_a for ls in per_limb] + [ls.k_c for ls in per_limb])
     K = (jac.G * rates) @ jac.G.T
-    d = np.diag(K)
+    kpx, kpy, kpz, kax, kay, kaz = K.diagonal().tolist()
     return StiffnessResult(
         K=K,
-        kpx=float(d[0]),
-        kpy=float(d[1]),
-        kpz=float(d[2]),
-        kax=float(d[3]),
-        kay=float(d[4]),
-        kaz=float(d[5]),
+        kpx=kpx,
+        kpy=kpy,
+        kpz=kpz,
+        kax=kax,
+        kay=kay,
+        kaz=kaz,
         jacobian=jac,
         limb_stiffness=per_limb,
     )
@@ -108,14 +106,24 @@ def deflection_under_load(result: StiffnessResult, wrench: np.ndarray) -> Deflec
     The constraint directions are rigid in this model, so the solve lives in
     the three-dimensional null space of the constraint wrenches; the
     returned platform motion is the full 6-vector, plus the joint
-    deflections G^T @ delta it implies.
+    deflections G^T @ delta it implies.  Raises ValueError for a wrench
+    that is not a finite 6-vector, and SingularStiffness when the feasible
+    block is not finite or its condition number exceeds 1e12.
     """
     wrench = np.asarray(wrench, dtype=float)
     if wrench.shape != (6,):
         raise ValueError("load wrench must have shape (6,)")
+    if not all(map(math.isfinite, wrench.tolist())):
+        raise ValueError("load wrench entries must be finite")
     basis = result.jacobian.feasible_basis
-    K_ff = basis.T @ result.K @ basis
-    if np.linalg.cond(K_ff) > 1e12:
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite K fails below
+        K_ff = basis.T @ result.K @ basis
+    if not all(map(math.isfinite, K_ff.ravel().tolist())):
+        raise SingularStiffness("feasible-space stiffness block is not finite")
+    # the 2-norm condition number, as np.linalg.cond computes it; negated, so
+    # that a zero smallest singular value (cond inf, or NaN for 0/0) fails
+    sigma = np.linalg.svd(K_ff, compute_uv=False).tolist()
+    if not (sigma[-1] > 0.0 and sigma[0] / sigma[-1] <= 1e12):
         raise SingularStiffness("feasible-space stiffness block is numerically singular")
     delta = basis @ np.linalg.solve(K_ff, basis.T @ wrench)
     return Deflection(platform=delta, joints=result.jacobian.G.T @ delta)

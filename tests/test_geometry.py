@@ -130,9 +130,30 @@ def test_params_reject_lengths_beyond_max(name):
 
 def test_layout_arrays_are_readonly(params):
     layout = params.layout
-    for name in ("cos", "sin", "body", "anchor", "tangent"):
+    for name in ("cos", "sin", "rz", "body", "anchor", "tangent"):
         with pytest.raises(ValueError):
             getattr(layout, name)[0] = 1.0
+
+
+OFF_STOCK = {"r_platform": 180.0, "azimuths": (0.1, 2.2, 4.0)}
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        default_params(Variant.Z3_PRS),
+        default_params(Variant.A3_RPS),
+        MechanismParams(Variant.Z3_PRS, **OFF_STOCK),
+        MechanismParams(Variant.A3_RPS, **OFF_STOCK),
+    ],
+    ids=["z3", "a3", "z3-off-stock", "a3-off-stock"],
+)
+def test_layout_rz_is_rot_z_of_each_azimuth(params):
+    rz = params.layout.rz
+    assert rz.shape == (3, 3, 3) and not rz.flags.writeable
+    for limb, xi in enumerate(params.azimuths):
+        # bit for bit: inverse kinematics reads it in place of rot_z(xi)
+        assert rz[limb].tobytes() == rot_z(xi).tobytes()
 
 
 def test_layout_is_built_from_math_trig():
@@ -214,6 +235,19 @@ def test_stiffness_coeffs_validation():
         StiffnessCoeffs(k_sz=-2.0)
     with pytest.raises(ValueError):
         StiffnessCoeffs(k_revolute=math.inf)
+
+
+def test_stiffness_coeffs_cache_their_rates():
+    coeffs = StiffnessCoeffs(k_carriage=2.0e6, k_revolute=3.0e6, k_limb_body=5.0e6, k_sx=7.0, k_sy=8.0)
+    assert coeffs.actuation == 1.0 / (1.0 / 2.0e6 + 1.0 / 3.0e6 + 1.0 / 5.0e6)
+    assert coeffs.spherical.tolist() == np.diag([7.0, 8.0, 1.0e6]).tolist()
+    before = hash(coeffs)
+    assert coeffs.spherical is coeffs.spherical
+    for twin in (pickle.loads(pickle.dumps(coeffs)), copy.deepcopy(coeffs), copy.copy(coeffs)):
+        assert twin == coeffs and hash(twin) == before
+        assert not twin.spherical.flags.writeable
+    with pytest.raises(ValueError):
+        coeffs.spherical[0, 0] = 1.0
 
 
 def test_task_rate_round_trip(rng):

@@ -235,7 +235,8 @@ def test_kernel_wrench_matrix_matches_reference(variant):
 )
 def test_jacobian_reused_across_offsets(monkeypatch, variant, passes):
     # z3's l1 is the same at every heave, bit for bit, so each cell's
-    # Jacobian carries over from the first offset; a3's struts tilt with heave
+    # Jacobian carries over from the first offset; a3's struts tilt with heave.
+    # An offset with nothing to recompute makes no call at all.
     rows = []
     jacobian = kernel._jacobian
 
@@ -247,6 +248,7 @@ def test_jacobian_reused_across_offsets(monkeypatch, variant, passes):
     psi_axis, theta_axis = tilt_axes(41, 40.0)
     kernel.evaluate_grid(default_params(variant), psi_axis, theta_axis, None, OFFSETS)
     assert sum(rows) == passes * psi_axis.size * theta_axis.size
+    assert 0 not in rows
 
 
 def assert_offsets_evaluate_alone(params, axes, z0):

@@ -19,6 +19,7 @@ from pkm.geometry import (
     Variant,
     Z_AXIS,
     home_pose,
+    platform_attachment,
     rot_z,
 )
 from pkm.jacobian import (
@@ -148,6 +149,7 @@ def test_singular_limb_detection(z3_params):
     horizontal = np.array([100.0, 0.0, 0.0])
     state = LimbState(
         anchor=np.array([350.0, 0.0, 0.0]),
+        attachment=platform_attachment(z3_params, pose.R, 1),
         g=np.array([-100.0, 0.0, 0.0]),
         l1=horizontal,
         actuated_length=0.0,

@@ -6,7 +6,19 @@ import pytest
 from conftest import random_compatible_pose
 from oracles import ik_a3_reference, ik_z3_reference
 from pkm.errors import ConstraintViolation, GimbalDegeneracy, UnreachablePose
-from pkm.geometry import Pose, Variant, home_height, home_pose, pose_from_tilts, rot_x, rot_y, rot_z
+from pkm.geometry import (
+    MechanismParams,
+    Pose,
+    Variant,
+    default_params,
+    home_height,
+    home_pose,
+    platform_attachment,
+    pose_from_tilts,
+    rot_x,
+    rot_y,
+    rot_z,
+)
 from pkm.kinematics import inverse_kinematics, spherical_joint_angles, spherical_joint_frame
 
 
@@ -148,6 +160,24 @@ def test_joint_axis_selection(params, rng):
             assert axis == pytest.approx(state.l1 / np.linalg.norm(state.l1), abs=1e-12)
         # the revolute axis is orthogonal to the limb plane
         assert abs(rev @ state.l1) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        default_params(Variant.Z3_PRS),
+        default_params(Variant.A3_RPS),
+        MechanismParams(Variant.Z3_PRS, r_platform=180.0, azimuths=(0.1, 2.2, 4.0)),
+        MechanismParams(Variant.A3_RPS, r_platform=180.0, azimuths=(0.1, 2.2, 4.0)),
+    ],
+    ids=["z3", "a3", "z3-off-stock", "a3-off-stock"],
+)
+def test_limb_state_carries_the_attachment(params, rng):
+    # bit for bit, so that build_jacobian reads it instead of recomputing it
+    for _ in range(20):
+        pose = random_compatible_pose(params, rng).pose
+        for limb, state in enumerate(inverse_kinematics(params, pose), start=1):
+            assert state.attachment.tobytes() == platform_attachment(params, pose.R, limb).tobytes()
 
 
 def test_limb_frame_coords_home(params):

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import random_compatible_pose
 from oracles import stiffness_rank1
+from pkm.errors import SingularStiffness
 from pkm.geometry import (
     MechanismParams,
     Pose,
@@ -173,6 +174,38 @@ def test_deflection_stays_feasible_and_balances_load(params, rng):
     )
     with pytest.raises(ValueError):
         deflection_under_load(result, np.zeros(3))
+
+
+def _broken_stiffness(K: str, result):
+    if K == "zero":
+        return np.zeros((6, 6))
+    if K == "rank-one":
+        b = result.jacobian.feasible_basis[:, 0]
+        return 1.0e6 * np.outer(b, b)
+    broken = result.K.copy()
+    broken[2, 4] = broken[4, 2] = {"nan": math.nan, "inf": math.inf}[K]
+    return broken
+
+
+# under the error::RuntimeWarning filter, so that no numpy warning stands
+# in for the library's own error
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("K", ["zero", "rank-one", "nan", "inf"])
+def test_singular_stiffness_is_raised(params, K):
+    result = assemble_stiffness(params, home_pose(params))
+    broken = replace(result, K=_broken_stiffness(K, result))
+    with pytest.raises(SingularStiffness):
+        deflection_under_load(broken, np.ones(6))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_deflection_rejects_non_finite_wrench(params, value):
+    result = assemble_stiffness(params, home_pose(params))
+    wrench = np.ones(6)
+    wrench[4] = value
+    with pytest.raises(ValueError, match="finite"):
+        deflection_under_load(result, wrench)
 
 
 def test_relabel_rotation_preserves_invariants(params, rng):
