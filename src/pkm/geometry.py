@@ -215,9 +215,11 @@ class Pose:
         R = _readonly(self.R)
         if p.shape != (3,) or R.shape != (3, 3):
             raise ValueError("Pose needs p of shape (3,) and R of shape (3, 3)")
-        if not all(map(math.isfinite, p.tolist() + R.ravel().tolist())):
+        entries = R.ravel().tolist()
+        if not all(map(math.isfinite, p.tolist() + entries)):
             raise ValueError("Pose entries must be finite")
-        if np.abs(R.T @ R - _EYE3).max() > 1e-12:
+        # no entry of an orthonormal R exceeds 1; a huge one would overflow R.T @ R
+        if max(map(abs, entries)) > 1.0 + 1e-12 or np.abs(R.T @ R - _EYE3).max() > 1e-12:
             raise ValueError("R is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) > 1e-12:
             raise ValueError("R must be proper (det +1)")

@@ -6,6 +6,7 @@ of being painted with a sentinel colour.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -38,6 +39,7 @@ _PALETTES = {
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 110.0, 34.0, 50.0
 _PLOT_W = _PLOT_H = 484.0
+_BAR_X, _BAR_W, _BAR_STRIPS = _MARGIN_L + _PLOT_W + 26.0, 18.0, 64
 
 
 def palette_color(palette: str, t: float) -> str:
@@ -75,6 +77,21 @@ def _palette_codes(palette: str, values: np.ndarray, vmin: float, span: float) -
     rgb = np.rint(stops[low] + (position - low)[..., None] * (stops[high] - stops[low])).astype(int)
     codes = (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
     return np.where(np.isfinite(values), codes, -1)
+
+
+@functools.lru_cache(maxsize=len(_PALETTES))
+def _colour_bar(palette: str) -> tuple[str, ...]:
+    """The colour bar's strip <rect> lines, bottom strip first.
+
+    They depend on the palette alone, so each palette's are built once.
+    """
+    strip_h = _PLOT_H / _BAR_STRIPS
+    return tuple(
+        f'<rect x="{_BAR_X:.2f}" y="{_MARGIN_T + _PLOT_H - (k + 1) * strip_h:.2f}" '
+        f'width="{_BAR_W:.2f}" height="{strip_h + 0.05:.2f}" '
+        f'fill="{palette_color(palette, (k + 0.5) / _BAR_STRIPS)}"/>'
+        for k in range(_BAR_STRIPS)
+    )
 
 
 def _axis_ticks(axis_rad: np.ndarray) -> list[tuple[float, str]]:
@@ -148,32 +165,22 @@ def emit_heatmap_svg(
         f'transform="rotate(-90 16 {_MARGIN_T + _PLOT_H / 2.0:.2f})">theta [deg]</text>'
     )
 
-    bar_x = _MARGIN_L + _PLOT_W + 26.0
-    bar_w = 18.0
-    strips = 64
-    strip_h = _PLOT_H / strips
-    for k in range(strips):
-        t = (k + 0.5) / strips
-        y = _MARGIN_T + _PLOT_H - (k + 1) * strip_h
-        out.append(
-            f'<rect x="{bar_x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" '
-            f'height="{strip_h + 0.05:.2f}" fill="{palette_color(palette, t)}"/>'
-        )
+    out.extend(_colour_bar(palette))
     out.append(
-        f'<rect x="{bar_x:.2f}" y="{_MARGIN_T:.2f}" width="{bar_w:.2f}" '
+        f'<rect x="{_BAR_X:.2f}" y="{_MARGIN_T:.2f}" width="{_BAR_W:.2f}" '
         f'height="{_PLOT_H:.2f}" fill="none" stroke="#333333" stroke-width="1"/>'
     )
     out.append(
-        f'<text x="{bar_x + bar_w + 6.0:.2f}" y="{_MARGIN_T + _PLOT_H:.2f}" '
+        f'<text x="{_BAR_X + _BAR_W + 6.0:.2f}" y="{_MARGIN_T + _PLOT_H:.2f}" '
         f'font-family="sans-serif" font-size="11">{fmt12(vmin)}</text>'
     )
     out.append(
-        f'<text x="{bar_x + bar_w + 6.0:.2f}" y="{_MARGIN_T + 10.0:.2f}" '
+        f'<text x="{_BAR_X + _BAR_W + 6.0:.2f}" y="{_MARGIN_T + 10.0:.2f}" '
         f'font-family="sans-serif" font-size="11">{fmt12(vmax)}</text>'
     )
     if value_label:
         out.append(
-            f'<text x="{bar_x + bar_w / 2.0:.2f}" y="{_MARGIN_T - 10.0:.2f}" '
+            f'<text x="{_BAR_X + _BAR_W / 2.0:.2f}" y="{_MARGIN_T - 10.0:.2f}" '
             f'font-family="sans-serif" font-size="12" text-anchor="middle">{value_label}</text>'
         )
     out.append("</svg>")

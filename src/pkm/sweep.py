@@ -1,11 +1,16 @@
 """Grid sweeps, their CSV/SVG figure writers and the two-machine comparison.
 
 Every map and the comparison evaluate their tilt cells through one
-evaluator, the batched cell kernel, in a single process.
+evaluator, the batched cell kernel.  The maps run in the calling process.
+The comparison forks once where os.fork exists: a child evaluates a3's
+grid and sends the table's arrays back through a pipe, while the parent
+evaluates z3's grid and writes z3's files; the parent writes every file.
 """
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -15,7 +20,7 @@ from .config import SweepSettings
 from .errors import ConfigError
 from .geometry import MechanismParams, home_height
 from .grids import SweepGrid, fmt12, tilt_axes, write_map_csv
-from .kernel import evaluate_grid
+from .kernel import RECORD, CellTable, evaluate_grid
 from .stiffness import STIFFNESS_FIELDS, _stiffness_table
 from .svg import emit_heatmap_svg
 
@@ -116,7 +121,8 @@ class CompareSettings:
     out_dir: str | Path
     sweep: SweepSettings = field(default_factory=SweepSettings)
     heave_offsets: tuple[float, ...] = DEFAULT_HEAVE_OFFSETS
-    # accepted and ignored: the cells are evaluated in one process
+    # accepted and ignored: run_comparison always uses two processes where
+    # os.fork exists (a3's grid in a forked child) and one elsewhere
     workers: int = 1
 
     def __post_init__(self):
@@ -189,11 +195,80 @@ def _dominant_home_machine(tables) -> str:
     return "tie" if not winners else "mixed"
 
 
+@contextmanager
+def _grid_in_child(params, psi_axis, theta_axis, z0, offsets, kappa_min_inv):
+    """Evaluate one machine's grid in a forked child while the caller goes on.
+
+    Yields collect(like), which returns the grid's CellTable on the axes of
+    the CellTable like.  The child sends the table's values and status
+    through a pipe as raw bytes and ends with os._exit: it flushes no stdio,
+    runs no exit handler and writes no file.  Where os.fork is missing, the
+    child fails or its bytes come up short, collect evaluates the grid in
+    this process instead, so an error is raised here with its traceback.
+    If the caller raises before collecting, the child is killed and reaped.
+    """
+
+    def here():
+        return evaluate_grid(params, psi_axis, theta_axis, z0, offsets, kappa_min_inv)
+
+    if not hasattr(os, "fork"):
+        yield lambda like: here()
+        return
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as pipe, open(write_fd, "wb") as sink:
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                pipe.close()
+                table = here()
+                sink.write(table.values.data)
+                sink.write(table.status.data)
+                sink.close()
+                code = 0
+            finally:
+                os._exit(code)
+        sink.close()
+        reaped = False
+
+        def collect(like: CellTable) -> CellTable:
+            nonlocal reaped
+            shape = (len(psi_axis), len(theta_axis))
+            values = np.empty((*shape, len(RECORD) + len(offsets)))
+            status = np.empty((*shape, 1 + len(offsets)), dtype=np.int8)
+            # read before reaping: the child blocks until the pipe is drained
+            complete = (
+                pipe.readinto(values) == values.nbytes
+                and pipe.readinto(status) == status.nbytes
+            )
+            pipe.close()  # a child with bytes left to write fails instead of blocking
+            _, wait_status = os.waitpid(pid, 0)
+            reaped = True
+            if not complete or os.waitstatus_to_exitcode(wait_status) != 0:
+                return here()
+            for a in (values, status):
+                a.setflags(write=False)
+            return CellTable(like.psi_axis, like.theta_axis, values, status)
+
+        try:
+            yield collect
+        finally:
+            if not reaped:
+                # imported only here: its enums cost about 40 kB at import
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def run_comparison(settings: CompareSettings) -> ComparisonReport:
     """Run all paired sweeps, write the CSV/SVG bundle and summarize.
 
     Output naming is {machine}_{figure_class}[...].csv/.svg inside out_dir.
     Re-running with identical settings reproduces every file byte for byte.
+    The machines' grids are independent until the verdict: a3's is
+    evaluated in a forked child while this process evaluates z3's and
+    writes z3's files.
     """
     out_dir = Path(settings.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -202,43 +277,16 @@ def run_comparison(settings: CompareSettings) -> ComparisonReport:
     a3 = settings.params_a3
     z0 = sweep.z_mm if sweep.z_mm is not None else home_height(z3)
     psi_axis, theta_axis = tilt_axes(sweep.grid_n, sweep.tilt_max_deg)
+    grid = (psi_axis, theta_axis, z0, settings.heave_offsets, sweep.kappa_min_inv)
 
-    tables = {
-        label: evaluate_grid(
-            params, psi_axis, theta_axis, z0, settings.heave_offsets, sweep.kappa_min_inv
-        )
-        for label, params in (("z3", z3), ("a3", a3))
-    }
-
+    tables: dict = {}
     metrics: dict = {}
     areas: dict = {}
-    for label, table in tables.items():
-        write_parasitic_figures(out_dir, label, table)
-        write_condition_figures(out_dir, label, table["kappa"])
-        for k, dz in enumerate(settings.heave_offsets):
-            grid = table[f"inside_{k}"]
-            write_workspace_figures(
-                out_dir,
-                f"{label}_workspace_dz{fmt12(dz)}",
-                f"{label} workspace at z0{fmt12(dz) if dz < 0 else '+' + fmt12(dz)}",
-                grid,
-            )
-            area = _area(grid)
-            areas.setdefault(label, []).append(area)
-            metrics.setdefault(f"workspace_area_dz{fmt12(dz)}", {})[label] = {
-                "min": area,
-                "max": area,
-                "mean": area,
-            }
-        stiffness = _stiffness_table(table)
-        write_stiffness_figures(out_dir, label, stiffness)
-        write_map_csv(
-            out_dir / f"{label}_stiffness_parasitic.csv",
-            stiffness,
-            units_note=_UNITS_NOTE + "; rows keyed by (x_par_mm, y_par_mm)",
-        )
-        for name in ("x_mm", "y_mm", "gamma_rad", "kappa", *STIFFNESS_FIELDS):
-            metrics.setdefault(name, {})[label] = _stats(table[name])
+    with _grid_in_child(a3, *grid) as collect_a3:
+        tables["z3"] = evaluate_grid(z3, *grid)
+        _write_machine(out_dir, "z3", tables["z3"], settings.heave_offsets, metrics, areas)
+        tables["a3"] = collect_a3(tables["z3"])
+    _write_machine(out_dir, "a3", tables["a3"], settings.heave_offsets, metrics, areas)
 
     flags = _verdict_flags(tables, areas)
     report = ComparisonReport(
@@ -252,6 +300,36 @@ def run_comparison(settings: CompareSettings) -> ComparisonReport:
     with open(out_dir / "report.txt", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report.as_text())
     return report
+
+
+def _write_machine(out_dir, label, table, heave_offsets, metrics, areas) -> None:
+    """Write one machine's figures and add its metrics and workspace areas."""
+    write_parasitic_figures(out_dir, label, table)
+    write_condition_figures(out_dir, label, table["kappa"])
+    for k, dz in enumerate(heave_offsets):
+        grid = table[f"inside_{k}"]
+        write_workspace_figures(
+            out_dir,
+            f"{label}_workspace_dz{fmt12(dz)}",
+            f"{label} workspace at z0{fmt12(dz) if dz < 0 else '+' + fmt12(dz)}",
+            grid,
+        )
+        area = _area(grid)
+        areas.setdefault(label, []).append(area)
+        metrics.setdefault(f"workspace_area_dz{fmt12(dz)}", {})[label] = {
+            "min": area,
+            "max": area,
+            "mean": area,
+        }
+    stiffness = _stiffness_table(table)
+    write_stiffness_figures(out_dir, label, stiffness)
+    write_map_csv(
+        out_dir / f"{label}_stiffness_parasitic.csv",
+        stiffness,
+        units_note=_UNITS_NOTE + "; rows keyed by (x_par_mm, y_par_mm)",
+    )
+    for name in ("x_mm", "y_mm", "gamma_rad", "kappa", *STIFFNESS_FIELDS):
+        metrics.setdefault(name, {})[label] = _stats(table[name])
 
 
 def _verdict_flags(tables, areas) -> dict:

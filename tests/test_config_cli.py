@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pkm
 from pkm import kernel, sweep
 from pkm.cli import build_parser, main
 from pkm.config import (
@@ -313,3 +318,23 @@ def test_cli_maps_match_compare_bundle(tmp_path, capsys, machine):
         assert cli_lines[0].startswith("#") and bundle_lines[0].startswith("#")
         assert cli_lines[1:] == bundle_lines[1:]
     capsys.readouterr()
+
+
+def test_compare_as_a_user_runs_it_warns_nothing(tmp_path):
+    # a warning from the forked comparison, such as a ResourceWarning for a
+    # pipe left open, fails the run under -W error or shows on stderr
+    env = dict(os.environ)
+    src = str(Path(pkm.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = tmp_path / "bundle"
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "pkm.cli", "compare", "--grid", "9", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+    assert (out / "report.txt").exists() and len(list(out.iterdir())) == 41

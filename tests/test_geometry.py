@@ -100,6 +100,15 @@ def test_pose_rejects_bad_rotation():
         Pose(p=np.zeros(2), R=np.eye(3))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e200, 1e155])
+def test_pose_rejects_large_rotation_entries_before_the_product(scale):
+    # R.T @ R overflows: the entry bound must reject R before the product
+    R = np.array([[scale, scale, 0.0], [scale, -scale, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="R is not orthonormal"):
+        Pose(p=np.zeros(3), R=R)
+
+
 def test_pose_arrays_are_readonly():
     pose = pose_from_tilts(0.1, 0.2, 600.0)
     with pytest.raises(ValueError):

@@ -262,3 +262,22 @@ def test_palette_codes_match_palette_color(palette):
     assert [f"#{code:06x}" for code in flat.tolist()] == [palette_color(palette, 0.5)] * 3
     with pytest.raises(ValueError):
         svg._palette_codes("plasma", values, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("palette", ["viridis", "coolwarm"])
+def test_cached_colour_bar_matches_per_strip_palette_color(tmp_path, palette):
+    strip_h = 484.0 / 64
+    expected = [
+        f'<rect x="574.00" y="{34.0 + 484.0 - (k + 1) * strip_h:.2f}" width="18.00" '
+        f'height="{strip_h + 0.05:.2f}" fill="{palette_color(palette, (k + 0.5) / 64)}"/>'
+        for k in range(64)
+    ]
+    assert list(svg._colour_bar(palette)) == expected
+    assert svg._colour_bar(palette) is svg._colour_bar(palette)
+    psi, theta = tilt_axes(2, 10.0)
+    emit_heatmap_svg(SweepGrid(psi, theta, np.zeros((2, 2))), palette, tmp_path / "map.svg")
+    lines = (tmp_path / "map.svg").read_text(encoding="utf-8").split("\n")
+    start = lines.index(expected[0])
+    assert lines[start : start + 64] == expected
+    with pytest.raises(ValueError, match="unknown palette"):
+        svg._colour_bar("plasma")
