@@ -71,7 +71,6 @@ from .stiffness import (
     StiffnessResult,
     assemble_stiffness,
     deflection_under_load,
-    limb_series_stiffness,
     stiffness_map_parasitic,
     stiffness_map_rotational,
 )
@@ -130,7 +129,6 @@ __all__ = [
     "homogenized_jacobian",
     "integrate_parasitic_path",
     "inverse_kinematics",
-    "limb_series_stiffness",
     "load_config",
     "orientation_from_tilts",
     "parasitic_map",

@@ -79,16 +79,6 @@ class StiffnessCoeffs:
         """Series rate of the carriage, revolute and limb-body springs (N/mm)."""
         return 1.0 / (1.0 / self.k_carriage + 1.0 / self.k_revolute + 1.0 / self.k_limb_body)
 
-    @functools.cached_property
-    def spherical(self) -> np.ndarray:
-        """diag(k_sx, k_sy, k_sz) of the spherical joint, read-only."""
-        return _readonly(np.diag([self.k_sx, self.k_sy, self.k_sz]))
-
-    def __getstate__(self):
-        # copies and unpickled coefficients rebuild the cached rates: pickle
-        # would hand back a writable matrix
-        return {k: v for k, v in self.__dict__.items() if k not in ("actuation", "spherical")}
-
 
 @dataclass(frozen=True, eq=False)
 class LimbLayout:
@@ -262,9 +252,14 @@ class TaskRate:
         return cls(v=xdot[:3], w=xdot[3:])
 
 
+def _attachments(params: MechanismParams, R: np.ndarray) -> np.ndarray:
+    """Platform attachments, one row per limb, for R of shape (3, 3) or (N, 3, 3)."""
+    return params.layout.body @ R.swapaxes(-1, -2)
+
+
 def platform_attachment(params: MechanismParams, R: np.ndarray, limb: int) -> np.ndarray:
     """Vector from the platform centre to the limb's spherical joint, world frame."""
-    return np.asarray(R) @ params.layout.body[_limb_row(limb)]
+    return _attachments(params, np.asarray(R))[_limb_row(limb)]
 
 
 def base_anchor(params: MechanismParams, limb: int) -> np.ndarray:

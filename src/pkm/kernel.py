@@ -5,10 +5,11 @@ Every tilt grid runs the chain of the scalar single-pose functions
 on blocks of whole psi rows at once.  Each stage takes (N, ...) arrays with
 one entry per cell, applies the scalar function's arithmetic and checks in
 the same order, and records in a CellStatus code where the scalar function
-raises one of CELL_ERRORS.  The elementwise stages compute every cell of a
-block, and their results count only where the status is still OK.  The
-scalar functions stay the public API and the reference the kernel is
-tested against.
+raises one of CELL_ERRORS.  The IK stage and the limb spring rates are the
+very functions the scalar chain runs on one pose.  The elementwise stages
+compute every cell of a block, and their results count only where the
+status is still OK.  The scalar functions stay the public API and the
+reference the kernel is tested against.
 """
 from __future__ import annotations
 
@@ -18,13 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parasitic
-from .errors import CellStatus
-from .geometry import MechanismParams, Variant, home_height
+from .errors import CELL_ERRORS, CellStatus
+from .geometry import MechanismParams, home_height
 from .grids import SweepGrid, check_axes
 from .jacobian import RANK_TOL, SINGULAR_LIMB_TOL, SINGULAR_TOL, _wrench_matrix
-from .kinematics import CONSTRAINT_TOL, HINGE_TOL
+from .kinematics import CONSTRAINT_TOL, _solve_limbs
 from .parasitic import CLOSURE_MAX_ITER, CLOSURE_TOL, DAMPING_TRIES
-from .stiffness import STIFFNESS_FIELDS
+from .stiffness import STIFFNESS_FIELDS, _limb_rates
 
 # columns of a cell record, followed by one workspace flag per heave offset
 RECORD = ("x_mm", "y_mm", "gamma_rad", "kappa", *STIFFNESS_FIELDS)
@@ -33,6 +34,8 @@ RECORD = ("x_mm", "y_mm", "gamma_rad", "kappa", *STIFFNESS_FIELDS)
 BLOCK_CELLS = 256
 
 OK = CellStatus.OK
+# the status code of each of CELL_ERRORS
+_CODES = {error: CellStatus(code) for code, error in enumerate(CELL_ERRORS, start=1)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,16 +76,6 @@ class LimbStack:
         return LimbStack(
             self.attachment[cells], self.l1[cells], self.length[cells], self.actuated[cells]
         )
-
-
-def _rotate_z(c, s, v: np.ndarray) -> np.ndarray:
-    """rot_z(angle) @ v over the last axis, given the angle's cos and sin."""
-    return np.stack((c * v[..., 0] - s * v[..., 1], s * v[..., 0] + c * v[..., 1], v[..., 2]), -1)
-
-
-def _rotate_y(c, s, v: np.ndarray) -> np.ndarray:
-    """rot_y(angle) @ v over the last axis, given the angle's cos and sin."""
-    return np.stack((c * v[..., 0] + s * v[..., 2], v[..., 1], c * v[..., 2] - s * v[..., 0]), -1)
 
 
 def _rotations(angles: np.ndarray, axis: int) -> np.ndarray:
@@ -175,9 +168,12 @@ def _first_failure(status: np.ndarray, checks) -> np.ndarray:
     by limb and, within a limb, in the order given.
     """
     status = status.copy()
-    for limb in range(3):
-        for failed, code in checks:
-            status[(status == OK) & failed[:, limb]] = code
+    # no pass when nothing failed; count_nonzero, unlike any(), runs no ufunc
+    # reduction, whose code pages would add to a map run's peak memory
+    if any(np.count_nonzero(failed) for failed, _ in checks):
+        for limb in range(3):
+            for failed, code in checks:
+                status[(status == OK) & failed[:, limb]] = code
     return status
 
 
@@ -188,33 +184,13 @@ def _inverse_kinematics(
     z: float,
     status: np.ndarray,
 ) -> tuple[LimbStack, np.ndarray]:
-    """inverse_kinematics at heave z for every cell, with the same per-limb check order."""
-    layout = params.layout
+    """inverse_kinematics at heave z for every cell: the same stage and check order."""
     joint = attachment.copy()
     joint[..., 0] += u[:, 0, None]
     joint[..., 1] += u[:, 1, None]
     joint[..., 2] += z
-    g = _rotate_z(layout.cos, -layout.sin, joint)
-    g[..., 0] -= params.r_base
-    off_plane = np.abs(g[..., 1]) > CONSTRAINT_TOL
-    l1 = joint - layout.anchor
-    if params.variant is Variant.Z3_PRS:
-        disc = params.link_length**2 - g[..., 0] ** 2 - g[..., 1] ** 2
-        status = _first_failure(
-            status,
-            ((disc < 0.0, CellStatus.UNREACHABLE), (off_plane, CellStatus.CONSTRAINT_VIOLATION)),
-        )
-        length = g[..., 2] - np.sqrt(np.maximum(disc, 0.0))
-        l1[..., 2] -= length
-        actuated = np.broadcast_to(np.array([0.0, 0.0, 1.0]), l1.shape)
-    else:
-        length = np.hypot(g[..., 0], g[..., 2])
-        status = _first_failure(
-            status,
-            ((off_plane, CellStatus.CONSTRAINT_VIOLATION), (length < HINGE_TOL, CellStatus.UNREACHABLE)),
-        )
-        norm = np.sqrt((l1 * l1).sum(axis=-1))
-        actuated = l1 / np.where(norm > 0.0, norm, 1.0)[..., None]
+    _, l1, length, actuated, checks = _solve_limbs(params, joint, CONSTRAINT_TOL)
+    status = _first_failure(status, [(failed, _CODES[error]) for failed, error, _ in checks])
     limbs = LimbStack(attachment=attachment, l1=l1, length=length, actuated=actuated)
     return limbs, status
 
@@ -261,18 +237,7 @@ def _jacobian(
 
 def _stiffness_diagonal(params: MechanismParams, G: np.ndarray, l1: np.ndarray) -> np.ndarray:
     """diag(K) of assemble_stiffness, (N, 6), for stacks of OK cells only."""
-    coeffs = params.stiffness
-    # limb_series_stiffness: the spherical joint's rate about the revolute
-    # axis, with R_spherical = rot_z(xi) @ rot_y(theta2) of the distal body
-    c, s = params.layout.cos, params.layout.sin
-    l1_limb = _rotate_z(c, -s, l1)
-    theta2 = np.arctan2(l1_limb[..., 0], l1_limb[..., 2])
-    axis = np.broadcast_to(params.layout.tangent, l1.shape)
-    v = _rotate_z(c, s, _rotate_y(np.cos(theta2), np.sin(theta2), axis))
-    k_s = (np.array([coeffs.k_sx, coeffs.k_sy, coeffs.k_sz]) * v * v).sum(axis=-1)
-    k_c = 1.0 / (1.0 / k_s + 1.0 / coeffs.k_limb_body)
-    rates = np.concatenate((np.full(k_c.shape, coeffs.actuation), k_c), axis=1)
-    return np.einsum("nrc,nc,nrc->nr", G, rates, G)
+    return np.einsum("nrc,nc,nrc->nr", G, _limb_rates(params, l1), G)
 
 
 def _evaluate_cells(

@@ -18,11 +18,10 @@ from .geometry import (
     MechanismParams,
     Pose,
     Variant,
-    Z_AXIS,
+    _attachments,
+    _limb_row,
     home_height,
-    limb_azimuth,
     rot_y,
-    rot_z,
 )
 
 CONSTRAINT_TOL = 1e-6
@@ -51,12 +50,64 @@ class LimbState:
     R_spherical: np.ndarray
 
 
-def _distal_rotation(rz: np.ndarray, l1: np.ndarray) -> np.ndarray:
-    """Orientation of the limb's distal body: azimuth turn rz = rot_z(xi),
-    then revolute pitch."""
-    l1_limb = rz.T @ l1
-    theta2 = math.atan2(l1_limb[0], l1_limb[2])
-    return rz @ rot_y(theta2)
+def _solve_limbs(params: MechanismParams, joint: np.ndarray, constraint_tol: float):
+    """The IK stage on spherical joint positions (..., 3, 3), world frame, one row per limb.
+
+    Returns the limb-frame joint coordinates (gx, gy, gz), the link vectors
+    l1, the actuated lengths and axes, and the checks in the order a limb
+    takes them: (failed (..., 3), error class, message for limb row i).
+    Every limb is solved; its values count only where no check failed.
+    The PRS head slides a fixed strut along a vertical rail (prismatic,
+    then revolute), the RPS head telescopes a strut from a base hinge
+    (revolute, then prismatic).
+    """
+    layout = params.layout
+    c, s = layout.cos, layout.sin
+    jx, jy, gz = joint[..., 0], joint[..., 1], joint[..., 2]
+    gx = c * jx + s * jy - params.r_base
+    gy = c * jy - s * jx
+    off_plane = (
+        np.abs(gy) > constraint_tol,
+        ConstraintViolation,
+        lambda i: f"limb {i + 1}: tangential residual {gy[i]:.6g} mm exceeds {constraint_tol:g}",
+    )
+    l1 = joint - layout.anchor
+    if params.variant is Variant.Z3_PRS:
+        disc = params.link_length**2 - gx**2 - gy**2
+        length = gz - np.sqrt(np.maximum(disc, 0.0))
+        l1[..., 2] -= length
+        actuated = np.zeros(l1.shape)
+        actuated[..., 2] = 1.0
+        unreachable = (
+            disc < 0.0,
+            UnreachablePose,
+            lambda i: f"limb {i + 1}: strut cannot span radial offset {gx[i]:.6g} mm",
+        )
+        checks = (unreachable, off_plane)
+    else:
+        length = np.hypot(gx, gz)
+        norm = np.sqrt((l1 * l1).sum(axis=-1))
+        actuated = l1 / np.where(norm > 0.0, norm, 1.0)[..., None]
+        on_hinge = (
+            length < HINGE_TOL,
+            UnreachablePose,
+            lambda i: f"limb {i + 1}: joint coincides with the base hinge",
+        )
+        checks = (off_plane, on_hinge)
+    return (gx, gy, gz), l1, length, actuated, checks
+
+
+def _distal_rotations(params: MechanismParams, l1: np.ndarray) -> np.ndarray:
+    """rot_z(xi) @ rot_y(pitch) (3, 3, 3) of one pose's three distal limb
+    bodies, pitch the angle of the link vector l1 from vertical in its limb
+    plane.  On plain floats with the products written out: at one pose,
+    numpy calls cost more than this arithmetic."""
+    entries = []
+    for c, s, (x, y, z) in zip(params.layout.cos.tolist(), params.layout.sin.tolist(), l1.tolist()):
+        pitch = math.atan2(c * x + s * y, z)
+        cp, sp = math.cos(pitch), math.sin(pitch)
+        entries += (c * cp, -s, c * sp, s * cp, c, s * sp, -sp, 0.0, cp)
+    return np.array(entries).reshape(3, 3, 3)
 
 
 def inverse_kinematics(
@@ -66,55 +117,22 @@ def inverse_kinematics(
 
     Raises UnreachablePose when a limb cannot close and ConstraintViolation
     when the pose leaves a spherical joint off its limb plane by more than
-    constraint_tol (millimetres).  The two heads differ only in joint order:
-    the PRS head slides a fixed strut along a vertical rail (prismatic, then
-    revolute), the RPS head telescopes a strut from a base hinge (revolute,
-    then prismatic).  The revolute axis is the limb-plane normal for both.
+    constraint_tol (millimetres), for the first limb that fails, and
+    ValueError when constraint_tol is NaN or negative.  The revolute axis
+    is the limb-plane normal for both heads.
     """
-    rail = params.variant is Variant.Z3_PRS
+    if not constraint_tol >= 0.0:
+        raise ValueError(f"constraint_tol must be a non-negative length, got {constraint_tol!r}")
+    attachment = _attachments(params, pose.R)
+    g, l1, length, actuated, checks = _solve_limbs(params, attachment + pose.p, constraint_tol)
+    for i in range(3):
+        for failed, error, message in checks:
+            if failed[i]:
+                raise error(message(i))
     layout = params.layout
-    states = []
-    for limb in (1, 2, 3):
-        # the spherical joint in the world and in limb-frame coordinates g
-        rz = layout.rz[limb - 1]
-        attachment = pose.R @ layout.body[limb - 1]
-        joint = pose.p + attachment
-        g = rz.T @ joint
-        g[0] -= params.r_base
-        if rail:
-            disc = params.link_length**2 - g[0] ** 2 - g[1] ** 2
-            if disc < 0.0:
-                raise UnreachablePose(
-                    f"limb {limb}: strut cannot span radial offset {g[0]:.6g} mm"
-                )
-        if abs(g[1]) > constraint_tol:
-            raise ConstraintViolation(
-                f"limb {limb}: tangential residual {g[1]:.6g} mm exceeds {constraint_tol:g}"
-            )
-        anchor = layout.anchor[limb - 1]
-        if rail:
-            length = g[2] - math.sqrt(disc)
-            l1 = joint - anchor - length * Z_AXIS
-            actuated = Z_AXIS
-        else:
-            length = math.hypot(g[0], g[2])
-            if length < HINGE_TOL:
-                raise UnreachablePose(f"limb {limb}: joint coincides with the base hinge")
-            l1 = joint - anchor
-            actuated = l1 / math.sqrt(l1 @ l1)  # np.linalg.norm's arithmetic
-        states.append(
-            LimbState(
-                anchor=anchor,
-                attachment=attachment,
-                g=g,
-                l1=l1,
-                actuated_length=length,
-                actuated=actuated,
-                revolute=layout.tangent[limb - 1],
-                R_spherical=_distal_rotation(rz, l1),
-            )
-        )
-    return states
+    g = np.array(g).T
+    rows = zip(layout.anchor, attachment, g, l1, length.tolist(), actuated, layout.tangent)
+    return [LimbState(*row, R) for row, R in zip(rows, _distal_rotations(params, l1))]
 
 
 def _euler_yxz(R: np.ndarray) -> tuple[float, float, float]:
@@ -130,9 +148,8 @@ def _euler_yxz(R: np.ndarray) -> tuple[float, float, float]:
 
 
 def _home_distal_rotation(params: MechanismParams, limb: int) -> np.ndarray:
-    xi = limb_azimuth(params, limb)
     theta2 = math.atan2(params.r_platform - params.r_base, home_height(params))
-    return rot_z(xi) @ rot_y(theta2)
+    return params.layout.rz[_limb_row(limb)] @ rot_y(theta2)
 
 
 def spherical_joint_frame(

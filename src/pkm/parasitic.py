@@ -17,6 +17,7 @@ from .errors import CouplingSingular, IntegrationDiverged, NoConvergence
 from .geometry import (
     MechanismParams,
     Pose,
+    _attachments,
     home_height,
     pose_from_tilts,
     rot_x,
@@ -56,11 +57,6 @@ class CompatiblePose:
     theta: float
     z: float
     parasitic: ParasiticShift
-
-
-def _attachments(params: MechanismParams, R: np.ndarray) -> np.ndarray:
-    """Platform attachments, one row per limb, for R of shape (3, 3) or (N, 3, 3)."""
-    return params.layout.body @ np.swapaxes(R, -1, -2)
 
 
 def _constraint_rows(params: MechanismParams, attachments: np.ndarray) -> np.ndarray:

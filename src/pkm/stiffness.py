@@ -53,23 +53,38 @@ class Deflection:
     joints: np.ndarray
 
 
-def spherical_stiffness_effective(
-    params: MechanismParams, R_spherical: np.ndarray, axis: np.ndarray
-) -> float:
-    """Torsional rate of the spherical joint about a world-frame axis."""
-    rotated = R_spherical.T @ params.stiffness.spherical @ R_spherical
-    axis = np.asarray(axis, dtype=float)
-    return float(axis @ rotated @ axis)
+def _limb_rates(params: MechanismParams, l1: np.ndarray) -> np.ndarray:
+    """Actuation, then constraint spring rates (..., 6) of limbs with link vectors l1 (..., 3, 3).
 
-
-def limb_series_stiffness(params: MechanismParams, state: LimbState) -> LimbStiffness:
-    """Series-spring reduction of one limb's actuation and constraint chains."""
+    A constraint spring is the spherical joint, k_s = a^T R^T S R a about
+    the revolute axis a, with S = diag(k_sx, k_sy, k_sz) and R the distal
+    body's orientation rot_z(xi) @ rot_y(pitch), pitch the angle of l1 from
+    vertical in its limb plane, in series with the limb body.  Raises
+    ValueError where k_s is not positive.
+    """
     coeffs = params.stiffness
-    k_s = spherical_stiffness_effective(params, state.R_spherical, state.revolute)
-    if k_s <= 0.0:
-        raise ValueError(f"effective spherical stiffness must be positive, got {k_s!r}")
-    k_c = 1.0 / (1.0 / k_s + 1.0 / coeffs.k_limb_body)
-    return LimbStiffness(k_a=coeffs.actuation, k_c=k_c)
+    layout = params.layout
+    c, s = layout.cos, layout.sin
+    pitch = np.arctan2(c * l1[..., 0] + s * l1[..., 1], l1[..., 2])
+    cp, sp = np.cos(pitch), np.sin(pitch)
+    # v = R a for a = (-s, c, 0), elementwise: at one pose, stacking v costs
+    # more than its arithmetic.  vx comes out negated, which k_s squares
+    # away, and a's zero z would only change the signs of zeros.
+    u = cp * s
+    vx = c * u + s * c
+    vy = c * c - s * u
+    vz = sp * s
+    k_s = coeffs.k_sx * vx * vx + coeffs.k_sy * vy * vy + coeffs.k_sz * vz * vz
+    # on plain floats: numpy's reductions cost more than the check at one pose
+    bad = [k for k in k_s.ravel().tolist() if k <= 0.0]
+    if bad:
+        raise ValueError(f"effective spherical stiffness must be positive, got {bad[0]!r}")
+    rates = np.empty(k_s.shape[:-1] + (6,))
+    rates[..., :3] = coeffs.actuation
+    # 1 / (1 / k_s + 1 / k_limb_body); np.reciprocal(x) is 1.0 / x without
+    # the float operand, which costs numpy more than the division at one pose
+    np.reciprocal(np.reciprocal(k_s) + 1.0 / coeffs.k_limb_body, out=rates[..., 3:])
+    return rates
 
 
 def assemble_stiffness(
@@ -83,9 +98,9 @@ def assemble_stiffness(
         states = inverse_kinematics(params, pose)
     if jac is None:
         jac = build_jacobian(params, pose, states)
-    per_limb = tuple(limb_series_stiffness(params, state) for state in states)
-    rates = np.array([ls.k_a for ls in per_limb] + [ls.k_c for ls in per_limb])
+    rates = _limb_rates(params, np.array([state.l1 for state in states]))
     K = (jac.G * rates) @ jac.G.T
+    k_a = params.stiffness.actuation
     kpx, kpy, kpz, kax, kay, kaz = K.diagonal().tolist()
     return StiffnessResult(
         K=K,
@@ -96,7 +111,7 @@ def assemble_stiffness(
         kay=kay,
         kaz=kaz,
         jacobian=jac,
-        limb_stiffness=per_limb,
+        limb_stiffness=tuple([LimbStiffness(k_a, k_c) for k_c in rates[3:].tolist()]),
     )
 
 

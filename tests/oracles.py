@@ -72,10 +72,16 @@ def parasitic_second_order(r_platform, psi, theta):
     return x, y, gamma
 
 
-def ik_z3_reference(r_base, r_platform, link_length, p, R):
+def ik_z3_reference(r_base, r_platform, link_length, p, R, tol=1e-6):
     """Slide positions of the rail-driven machine, limb by limb, from
-    scratch: rotate into the limb plane, subtract the strut projection."""
-    out = []
+    scratch: rotate into the limb plane, subtract the strut projection.
+
+    Returns (slides, failure).  failure is None, or (limb, status name) of
+    the first limb that fails: UNREACHABLE where the strut cannot span the
+    radial offset, else CONSTRAINT_VIOLATION where the joint lies more than
+    tol off its limb plane.  A slide the strut cannot reach is NaN.
+    """
+    out, failure = [], None
     for k in range(3):
         xi = 2.0 * np.pi * k / 3.0
         c, s = np.cos(xi), np.sin(xi)
@@ -84,23 +90,62 @@ def ik_z3_reference(r_base, r_platform, link_length, p, R):
         gy = -s * joint[0] + c * joint[1]
         gz = joint[2]
         disc = link_length**2 - gx**2 - gy**2
-        if disc < 0.0:
-            return None
-        out.append(gz - np.sqrt(disc))
-    return np.array(out)
+        if failure is None and disc < 0.0:
+            failure = (k + 1, "UNREACHABLE")
+        elif failure is None and abs(gy) > tol:
+            failure = (k + 1, "CONSTRAINT_VIOLATION")
+        out.append(gz - np.sqrt(disc) if disc >= 0.0 else np.nan)
+    return np.array(out), failure
 
 
-def ik_a3_reference(r_base, r_platform, p, R):
-    """Telescopic strut lengths: plain distances from the base hinge line."""
-    out = []
+def ik_a3_reference(r_base, r_platform, p, R, tol=1e-6, hinge_tol=1e-9):
+    """Telescopic strut lengths: plain distances from the base hinge line.
+
+    Returns (lengths, failure).  failure is None, or (limb, status name) of
+    the first limb that fails: CONSTRAINT_VIOLATION where the joint lies
+    more than tol off its limb plane, else UNREACHABLE where it sits within
+    hinge_tol of the hinge.
+    """
+    out, failure = [], None
     for k in range(3):
         xi = 2.0 * np.pi * k / 3.0
         c, s = np.cos(xi), np.sin(xi)
         joint = np.asarray(p) + R @ np.array([r_platform * c, r_platform * s, 0.0])
         gx = c * joint[0] + s * joint[1] - r_base
+        gy = -s * joint[0] + c * joint[1]
         gz = joint[2]
-        out.append(np.hypot(gx, gz))
-    return np.array(out)
+        length = np.hypot(gx, gz)
+        if failure is None and abs(gy) > tol:
+            failure = (k + 1, "CONSTRAINT_VIOLATION")
+        elif failure is None and length < hinge_tol:
+            failure = (k + 1, "UNREACHABLE")
+        out.append(length)
+    return np.array(out), failure
+
+
+def spherical_rate_reference(S, R, axis):
+    """Torsional rate a^T R^T S R a of a spherical joint with joint-frame
+    rates S (3, 3) and orientation R about the axis a."""
+    axis = np.asarray(axis, dtype=float)
+    return float(axis @ R.T @ S @ R @ axis)
+
+
+def limb_rates_reference(params, l1):
+    """Actuation, then constraint spring rates (6,) of the limbs with link
+    vectors l1 (3, 3), limb by limb: the distal body's orientation
+    rot_z(xi) @ rot_y(pitch) from scipy, the spherical rate about the
+    revolute axis, and the series sums written out."""
+    k = params.stiffness
+    S = np.diag([k.k_sx, k.k_sy, k.k_sz])
+    k_a = 1.0 / (1.0 / k.k_carriage + 1.0 / k.k_revolute + 1.0 / k.k_limb_body)
+    k_c = []
+    for xi, link in zip(params.azimuths, np.asarray(l1)):
+        radial = np.array([np.cos(xi), np.sin(xi), 0.0])
+        pitch = np.arctan2(link @ radial, link[2])
+        R = Rotation.from_euler("ZY", [xi, pitch]).as_matrix()
+        k_s = spherical_rate_reference(S, R, [-np.sin(xi), np.cos(xi), 0.0])
+        k_c.append(1.0 / (1.0 / k_s + 1.0 / k.k_limb_body))
+    return np.array([k_a] * 3 + k_c)
 
 
 def wrench_matrix_reference(machine, r_base, r_platform, link_length, azimuths, p, R):

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pkm import kernel, parasitic
+from pkm import kernel, parasitic, stiffness
 from pkm.errors import CELL_ERRORS, CellStatus
 from pkm.geometry import (
     MechanismParams,
@@ -24,10 +24,13 @@ from pkm.grids import tilt_axes
 from pkm.jacobian import build_jacobian
 from pkm.kinematics import inverse_kinematics
 from pkm.parasitic import solve_loop_closure
-from pkm.stiffness import assemble_stiffness
+from pkm.stiffness import STIFFNESS_FIELDS, assemble_stiffness
 
 from oracles import (
     assert_wrench_columns_close,
+    ik_a3_reference,
+    ik_z3_reference,
+    limb_rates_reference,
     parasitic_second_order,
     rotation_from_tilts_scipy,
     wrench_matrix_reference,
@@ -199,17 +202,118 @@ def test_stroke_limits_are_inclusive(variant):
             assert table["inside_0"].values[1, 1] == inside, (name, limit)
 
 
-@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
-def test_kernel_wrench_matrix_matches_reference(variant):
-    # G from the kernel's own stages, checked on every OK cell against a
-    # reference that shares no code with the scalar chain
-    params = default_params(variant)
-    psi_axis, theta_axis = tilt_axes(9, 40.0)
+def closed_cells(params, grid_n, tilt_max_deg):
+    """psi, theta, the closure's (x, y, gamma), its status and the platform
+    attachments of every cell of a tilt grid, from the kernel's own stages."""
+    psi_axis, theta_axis = tilt_axes(grid_n, tilt_max_deg)
     psi = np.repeat(psi_axis, theta_axis.size)
     theta = np.tile(theta_axis, psi_axis.size)
     ry, rx = kernel._rotations(theta, 1), kernel._rotations(psi, 0)
     u, closed = kernel._solve_closure(params, ry, rx)
     attachment = parasitic._attachments(params, kernel._orientations(ry, rx, u[:, 2]))
+    return psi, theta, u, closed, attachment
+
+
+def ik_reference(params, p, R):
+    if params.variant is Variant.Z3_PRS:
+        return ik_z3_reference(params.r_base, params.r_platform, params.link_length, p, R)
+    return ik_a3_reference(params.r_base, params.r_platform, p, R)
+
+
+@pytest.mark.parametrize(
+    "params, z0, shift, expected",
+    [
+        (default_params(Variant.Z3_PRS), None, 0.0, set()),
+        (default_params(Variant.A3_RPS), None, 0.0, set()),
+        (MechanismParams(Variant.Z3_PRS, link_length=105.0), None, 0.0, {"UNREACHABLE"}),
+        (
+            MechanismParams(Variant.Z3_PRS, link_length=105.0),
+            None,
+            1e-3,
+            {"UNREACHABLE", "CONSTRAINT_VIOLATION"},
+        ),
+        (MechanismParams(Variant.A3_RPS, r_base=250.0), 0.0, 0.0, {"UNREACHABLE"}),
+        (MechanismParams(Variant.A3_RPS, r_base=250.0), 0.0, 1e-3, {"CONSTRAINT_VIOLATION"}),
+    ],
+    ids=[
+        "z3",
+        "a3",
+        "z3-short-link",
+        "z3-short-link-off-plane",
+        "a3-on-hinge",
+        "a3-on-hinge-off-plane",
+    ],
+)
+def test_kernel_ik_matches_reference(params, z0, shift, expected):
+    # the IK stage on every cell, against a reference that shares no code
+    # with it; shift moves the platform off the closure's y by that many mm,
+    # which puts limb 1's joint off its plane
+    z0 = home_height(params) if z0 is None else z0
+    psi, theta, u, closed, attachment = closed_cells(params, 9, 40.0)
+    assert np.all(closed == CellStatus.OK)
+    u = u.copy()
+    u[:, 1] += shift
+    seen = set()
+    for dz in OFFSETS:
+        z = z0 + dz
+        limbs, status = kernel._inverse_kinematics(params, attachment, u, z, closed)
+        for n in range(psi.size):
+            R = rotation_from_tilts_scipy(psi[n], theta[n], u[n, 2])
+            want, failure = ik_reference(params, (u[n, 0], u[n, 1], z), R)
+            pose = pose_from_tilts(psi[n], theta[n], z, *u[n])
+            if failure is None:
+                assert status[n] == CellStatus.OK
+                assert np.all(np.abs(limbs.length[n] - want) <= 1e-9)
+                lengths = [state.actuated_length for state in inverse_kinematics(params, pose)]
+                assert lengths == pytest.approx(want, abs=1e-9)
+                continue
+            limb, name = failure
+            seen.add(name)
+            assert CellStatus(status[n]).name == name
+            with pytest.raises(CELL_ERRORS[CellStatus[name] - 1], match=f"^limb {limb}: "):
+                inverse_kinematics(params, pose)
+    assert seen == expected
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_kernel_limb_rates_match_reference(variant):
+    params = MechanismParams(variant, stiffness=StiffnessCoeffs(k_sx=2.0e6, k_sy=7.0e5, k_sz=4.0e5))
+    _, _, u, closed, attachment = closed_cells(params, 9, 40.0)
+    for dz in OFFSETS:
+        z = home_height(params) + dz
+        limbs, status = kernel._inverse_kinematics(params, attachment, u, z, closed)
+        assert np.all(status == CellStatus.OK)
+        for l1, got in zip(limbs.l1, stiffness._limb_rates(params, limbs.l1)):
+            want = limb_rates_reference(params, l1)
+            assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_grid_stiffness_is_symmetric_psd(variant):
+    # K = G diag(k) G^T on every cell, and its diagonal is the table's
+    params = default_params(variant)
+    psi, _, u, closed, attachment = closed_cells(params, 21, 40.0)
+    limbs, status = kernel._inverse_kinematics(params, attachment, u, home_height(params), closed)
+    G, _, status = kernel._jacobian(params, limbs, status)
+    ok = np.flatnonzero(status == CellStatus.OK)
+    assert ok.size == psi.size
+    rates = stiffness._limb_rates(params, limbs.l1[ok])
+    K = (G[ok] * rates[:, None, :]) @ np.swapaxes(G[ok], 1, 2)
+    scale = np.abs(K).max(axis=(1, 2))
+    assert np.all(np.abs(K - np.swapaxes(K, 1, 2)).max(axis=(1, 2)) <= 1e-12 * scale)
+    assert np.all(np.linalg.eigvalsh(K).min(axis=1) >= -1e-12 * scale)
+    table = kernel.evaluate_grid(params, *tilt_axes(21, 40.0))
+    got = np.stack([table[name].values.ravel()[ok] for name in STIFFNESS_FIELDS], axis=-1)
+    want = np.diagonal(K, axis1=1, axis2=2)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_kernel_wrench_matrix_matches_reference(variant):
+    # G from the kernel's own stages, checked on every OK cell against a
+    # reference that shares no code with the scalar chain
+    params = default_params(variant)
+    psi, theta, u, closed, attachment = closed_cells(params, 9, 40.0)
     for dz in OFFSETS:
         z = home_height(params) + dz
         limbs, status = kernel._inverse_kinematics(params, attachment, u, z, closed)

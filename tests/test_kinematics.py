@@ -40,8 +40,8 @@ def test_slides_match_reference(z3_params, rng):
     for _ in range(50):
         pose = random_compatible_pose(z3_params, rng).pose
         states = inverse_kinematics(z3_params, pose)
-        expected = ik_z3_reference(350.0, 250.0, 642.3, pose.p, pose.R)
-        assert expected is not None
+        expected, failure = ik_z3_reference(350.0, 250.0, 642.3, pose.p, pose.R)
+        assert failure is None
         got = [s.actuated_length for s in states]
         assert got == pytest.approx(expected, abs=1e-9)
 
@@ -50,7 +50,8 @@ def test_strut_lengths_match_reference(a3_params, rng):
     for _ in range(50):
         pose = random_compatible_pose(a3_params, rng).pose
         states = inverse_kinematics(a3_params, pose)
-        expected = ik_a3_reference(350.0, 250.0, pose.p, pose.R)
+        expected, failure = ik_a3_reference(350.0, 250.0, pose.p, pose.R)
+        assert failure is None
         got = [s.actuated_length for s in states]
         assert got == pytest.approx(expected, abs=1e-9)
 
@@ -104,6 +105,16 @@ def test_constraint_violation_off_plane(params):
     # the same pose passes with a loose tolerance
     states = inverse_kinematics(params, pose, constraint_tol=10.0)
     assert len(states) == 3
+
+
+@pytest.mark.parametrize("constraint_tol", [math.nan, -1.0], ids=["NaN", "negative"])
+def test_constraint_tol_must_be_a_non_negative_length(params, constraint_tol):
+    # a NaN tolerance would accept joints millimetres off their limb planes,
+    # and a negative one would reject even the home pose
+    z = home_height(params)
+    for pose in (home_pose(params), pose_from_tilts(0.0, 0.0, z, y=5.0)):
+        with pytest.raises(ValueError, match="constraint_tol"):
+            inverse_kinematics(params, pose, constraint_tol=constraint_tol)
 
 
 def test_spherical_angles_vanish_at_home(params):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_compatible_pose
-from oracles import stiffness_rank1
+from oracles import limb_rates_reference, spherical_rate_reference, stiffness_rank1
 from pkm.errors import SingularStiffness
 from pkm.geometry import (
     MechanismParams,
@@ -22,8 +22,6 @@ from pkm.stiffness import (
     STIFFNESS_FIELDS,
     assemble_stiffness,
     deflection_under_load,
-    limb_series_stiffness,
-    spherical_stiffness_effective,
     stiffness_map_parasitic,
     stiffness_map_rotational,
 )
@@ -31,12 +29,15 @@ from pkm.grids import tilt_axes
 
 
 def test_series_rates_with_equal_coefficients(params):
-    states = inverse_kinematics(params, home_pose(params))
-    for state in states:
-        ls = limb_series_stiffness(params, state)
-        # three equal springs in series, and two in series
-        assert ls.k_a == pytest.approx(1.0e6 / 3.0, rel=1e-12)
-        assert ls.k_c == pytest.approx(5.0e5, rel=1e-12)
+    pose = home_pose(params)
+    states = inverse_kinematics(params, pose)
+    result = assemble_stiffness(params, pose, states)
+    reference = limb_rates_reference(params, [state.l1 for state in states])
+    for limb, ls in enumerate(result.limb_stiffness):
+        for k_a, k_c in ((ls.k_a, ls.k_c), (reference[limb], reference[3 + limb])):
+            # three equal springs in series, and two in series
+            assert k_a == pytest.approx(1.0e6 / 3.0, rel=1e-12)
+            assert k_c == pytest.approx(5.0e5, rel=1e-12)
 
 
 def test_spherical_stiffness_picks_frame_axes():
@@ -44,14 +45,36 @@ def test_spherical_stiffness_picks_frame_axes():
         variant=Variant.Z3_PRS,
         stiffness=StiffnessCoeffs(k_sx=2.0e6, k_sy=3.0e6, k_sz=4.0e6),
     )
-    assert spherical_stiffness_effective(params, np.eye(3), [1.0, 0.0, 0.0]) == 2.0e6
-    assert spherical_stiffness_effective(params, np.eye(3), [0.0, 1.0, 0.0]) == 3.0e6
+    S = np.diag([2.0e6, 3.0e6, 4.0e6])
+    assert spherical_rate_reference(S, np.eye(3), [1.0, 0.0, 0.0]) == 2.0e6
+    assert spherical_rate_reference(S, np.eye(3), [0.0, 1.0, 0.0]) == 3.0e6
     # rotating the joint frame by 90 deg about z swaps which coefficient
     # the world x axis sees
     R = rot_z(0.5 * math.pi)
-    assert spherical_stiffness_effective(params, R, [1.0, 0.0, 0.0]) == pytest.approx(
-        3.0e6, rel=1e-12
+    assert spherical_rate_reference(S, R, [1.0, 0.0, 0.0]) == pytest.approx(3.0e6, rel=1e-12)
+    # and the limbs' constraint rates weight the coefficients as the reference does
+    pose = home_pose(params)
+    states = inverse_kinematics(params, pose)
+    reference = limb_rates_reference(params, [state.l1 for state in states])
+    got = [ls.k_c for ls in assemble_stiffness(params, pose, states).limb_stiffness]
+    assert got == pytest.approx(reference[3:], rel=1e-12)
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_limb_rates_match_reference(variant, rng):
+    # unequal coefficients and azimuths, so that every limb weights them differently
+    params = MechanismParams(
+        variant,
+        azimuths=(0.1, 2.2, 4.0),
+        stiffness=StiffnessCoeffs(k_carriage=3.0e6, k_sx=2.0e6, k_sy=7.0e5, k_sz=4.0e5),
     )
+    for _ in range(20):
+        pose = random_compatible_pose(params, rng).pose
+        states = inverse_kinematics(params, pose)
+        result = assemble_stiffness(params, pose, states)
+        got = [ls.k_a for ls in result.limb_stiffness] + [ls.k_c for ls in result.limb_stiffness]
+        want = limb_rates_reference(params, [state.l1 for state in states])
+        assert np.all(np.abs(np.array(got) - want) <= 1e-12 * want)
 
 
 def _home_diagonals(params):
