@@ -1,6 +1,7 @@
 """Exception taxonomy for kinematic, numeric and configuration failures."""
 
 import enum
+import functools
 
 
 class PkmError(Exception):
@@ -53,6 +54,20 @@ class SingularStiffness(PkmError):
 
 class ConfigError(PkmError):
     """Malformed or inconsistent configuration input."""
+
+
+def limb_by_limb(checks) -> list:
+    """Per-limb checks (failed (..., 3), error class, message(i) for limb row i)
+    as one (failed (...), error class, message()) per limb and check, in the
+    order a pose takes them: limb by limb and, within a limb, as given."""
+    return [(f[..., i], e, functools.partial(m, i)) for i in range(3) for f, e, m in checks]
+
+
+def raise_first(checks) -> None:
+    """Raise the first failed check of one pose, checks in the order it takes them."""
+    for failed, error, message in checks:
+        if failed:
+            raise error(message())
 
 
 # failures that leave one grid cell empty instead of stopping a sweep,

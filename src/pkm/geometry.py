@@ -24,6 +24,9 @@ _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
 # mm; home_height squares the lengths, which overflows above about 1.3e154
 MAX_LENGTH = 1e150
+# smallest stiffness coefficient: the series sums take reciprocals, which
+# overflow for denormal coefficients
+MIN_STIFFNESS = 1e-300
 
 
 class Variant(enum.Enum):
@@ -71,8 +74,8 @@ class StiffnessCoeffs:
     def __post_init__(self):
         for name in ("k_carriage", "k_revolute", "k_limb_body", "k_sx", "k_sy", "k_sz"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+            if not (math.isfinite(value) and value >= MIN_STIFFNESS):
+                raise ValueError(f"{name} must be finite and >= {MIN_STIFFNESS:g}, got {value!r}")
 
     @functools.cached_property
     def actuation(self) -> float:

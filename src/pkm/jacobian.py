@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficiency, SingularConfiguration, SingularLimb
+from .errors import RankDeficiency, SingularConfiguration, SingularLimb, limb_by_limb, raise_first
 from .geometry import MechanismParams, Pose, TaskRate
 from .kinematics import LimbState, inverse_kinematics
 
@@ -52,10 +52,10 @@ def _wrench_matrix(
     # G as [force or moment, component, actuation or constraint, limb]; the
     # cross products are spelt out: np.cross costs about ten times more on 3-vectors
     W = G.reshape(lead + (2, 3, 2, 3))
-    W[..., 0, :, 0, :] = np.swapaxes(l1, -1, -2)
-    W[..., 0, :, 1, :] = np.swapaxes(revolute, -1, -2)
+    W[..., 0, :, 0, :] = l1.swapaxes(-1, -2)
+    W[..., 0, :, 1, :] = revolute.swapaxes(-1, -2)
     bx, by, bz = W[..., 0, 0, :, :], W[..., 0, 1, :, :], W[..., 0, 2, :, :]
-    a = np.swapaxes(attachment, -1, -2)[..., None, :]
+    a = attachment.swapaxes(-1, -2)[..., None, :]
     ax, ay, az = a[..., 0, :, :], a[..., 1, :, :], a[..., 2, :, :]
     W[..., 1, 0, :, :] = ay * bz - az * by
     W[..., 1, 1, :, :] = az * bx - ax * bz
@@ -64,60 +64,88 @@ def _wrench_matrix(
     return G
 
 
+def _jacobian_stage(params: MechanismParams, attachment, l1, actuated, revolute):
+    """build_jacobian's stage on limb rows (..., 3, 3) of attachments, link
+    vectors, actuated and revolute axes.
+
+    Returns G (..., 6, 6), J (..., 3, 3), kappa (...) and the checks
+    (failed (...), error class, message) in the order a pose takes them:
+    SingularLimb limb by limb, then _homogenize's.  A singular limb gets a
+    unit divisor.  The messages are those of one pose.
+    """
+    divisor = (l1 * actuated).sum(axis=-1)
+    singular = np.abs(divisor) < SINGULAR_LIMB_TOL
+    G = _wrench_matrix(attachment, l1, np.where(singular, 1.0, divisor), revolute)
+    J, kappa, checks = _homogenize(G, params.r_platform)
+    text = "limb {}: link orthogonal to its actuated axis ({:.3g})".format
+    singular_limb = (singular, SingularLimb, lambda i: text(i + 1, divisor[i]))
+    return G, J, kappa, (*limb_by_limb((singular_limb,)), *checks)
+
+
+def _homogenize(G: np.ndarray, r: float):
+    """J (..., 3, 3), kappa (...) and the checks RankDeficiency and
+    SingularConfiguration of wrench matrices G (..., 6, 6).
+
+    Moment rows are divided by r, the characteristic length, on Ga and Gc
+    alike (see homogenized_jacobian): J = scaled Ga^T @ the feasible basis
+    of the scaled Gc.  kappa is NaN where J is singular.
+    """
+    scaled = G.copy()
+    scaled[..., 3:, :] /= r
+    U, rank = _constraint_rank(scaled[..., 3:], G[..., 3:], r)
+    J = scaled[..., :3].swapaxes(-1, -2) @ U[..., 3:]
+    sigma = np.linalg.svd(J, compute_uv=False)
+    degenerate = sigma[..., -1] <= SINGULAR_TOL * sigma[..., 0]  # also a J that vanishes
+    # a NaN divisor, unlike a zero one, raises no floating-point warning
+    kappa = sigma[..., 0] / np.where(degenerate, np.nan, sigma[..., -1])
+    singular = (degenerate, SingularConfiguration, lambda: "homogenized Jacobian is singular")
+    return J, kappa, (rank, singular)
+
+
+def _constraint_rank(scaled: np.ndarray, Gc: np.ndarray, r: float):
+    """U (..., 6, 6) of the full SVD of scaled constraint wrenches (..., 6, 3)
+    and the RankDeficiency check of them and of Gc, their moment rows times r.
+
+    The check on Gc runs only where the scaled ratio is below 2 max(r, 1/r)
+    RANK_TOL: elsewhere ratio(Gc) >= ratio(scaled) min(r, 1/r) rules rank
+    loss out, with a factor 2 to spare for rounding.
+    """
+    U, sigma, _ = np.linalg.svd(scaled, full_matrices=True)
+    low, top = sigma[..., -1], sigma[..., 0]
+    lost = np.asarray(low < RANK_TOL * top)  # writable at one pose too
+    near = ~lost & (low < 2.0 * max(r, 1.0 / r) * RANK_TOL * top)
+    if np.count_nonzero(near):
+        unscaled = np.linalg.svd(Gc[near], compute_uv=False)
+        sigma[near] = unscaled
+        lost[near] = unscaled[:, -1] < RANK_TOL * unscaled[:, 0]
+    text = "constraint wrenches span only rank {}".format
+    return U, (lost, RankDeficiency, lambda: text(np.count_nonzero(sigma >= RANK_TOL * sigma[0])))
+
+
 def build_jacobian(
     params: MechanismParams, pose: Pose, states: list[LimbState] | None = None
 ) -> JacobianSet:
-    """Assemble G for a compatible pose and derive projector and conditioning."""
+    """Assemble G for a compatible pose and derive projector and conditioning.
+
+    Raises SingularLimb for the first singular limb, then RankDeficiency
+    or SingularConfiguration.
+    """
     if states is None:
         states = inverse_kinematics(params, pose)
-    divisors = []
-    for limb, state in enumerate(states, start=1):
-        divisor = float(state.l1 @ state.actuated)
-        if abs(divisor) < SINGULAR_LIMB_TOL:
-            raise SingularLimb(
-                f"limb {limb}: link orthogonal to its actuated axis ({divisor:.3g})"
-            )
-        divisors.append(divisor)
-    G = _wrench_matrix(
-        np.array([state.attachment for state in states]),
-        np.array([state.l1 for state in states]),
-        np.array(divisors),
-        np.array([state.revolute for state in states]),
-    )
-    Ga, Gc = G[:, :3], G[:, 3:]
-    # one batched SVD for Gc and the homogenized (scaled) Gc, checked in that order
-    pair = np.empty((2, 6, 3))
-    pair[0] = Gc
-    pair[1] = _scale_moments(Gc, params)
-    U = _constraint_svd(pair)
-    J_hom, kappa = _conditioning(_scale_moments(Ga, params), U[1, :, 3:])
+    rows = np.array([(s.attachment, s.l1, s.actuated, s.revolute) for s in states])
+    G, J_hom, kappa, checks = _jacobian_stage(params, *rows.swapaxes(0, 1))
+    raise_first(checks)
+    Gc = G[:, 3:]
+    U = np.linalg.svd(Gc, full_matrices=True)[0]  # splits constraint and feasible twists
     return JacobianSet(
         G=G,
-        Ga=Ga,
+        Ga=G[:, :3],
         Gc=Gc,
-        P=_projector(U[0]),
-        # a view into a copy of Gc's factor alone: a view of U would keep both
-        # factors alive, and a (6, 3) copy changes the bits of products with
-        # the basis (BLAS reads it with another leading dimension)
-        feasible_basis=U[0].copy()[:, 3:],
+        P=_projector(U),
+        feasible_basis=U[:, 3:],
         J_hom=J_hom,
-        kappa=kappa,
+        kappa=float(kappa),
     )
-
-
-def _constraint_svd(Gc: np.ndarray) -> np.ndarray:
-    """U of the full SVD of a stack of constraint wrench columns (k, 6, 3).
-
-    Raises RankDeficiency for the first member that has lost rank.
-    """
-    U, sigma, _ = np.linalg.svd(Gc, full_matrices=True)
-    top = sigma.max(axis=-1)
-    for k, lost in enumerate((sigma.min(axis=-1) < RANK_TOL * top).tolist()):
-        if lost:
-            raise RankDeficiency(
-                f"constraint wrenches span only rank {int(np.sum(sigma[k] >= RANK_TOL * top[k]))}"
-            )
-    return U
 
 
 def _projector(U: np.ndarray) -> np.ndarray:
@@ -132,7 +160,10 @@ def constraint_projector(Gc: np.ndarray) -> np.ndarray:
     Computed as I - Gc @ pinv(Gc) through a rank-revealing decomposition;
     raises RankDeficiency when the three constraint wrenches degenerate.
     """
-    return _projector(_constraint_svd(np.asarray(Gc, dtype=float)[None])[0])
+    Gc = np.asarray(Gc, dtype=float)
+    U, rank = _constraint_rank(Gc, Gc, 1.0)
+    raise_first((rank,))
+    return _projector(U)
 
 
 def project_task_rate(P: np.ndarray, xdot) -> TaskRate:
@@ -143,22 +174,6 @@ def project_task_rate(P: np.ndarray, xdot) -> TaskRate:
     if xdot.shape != (6,):
         raise ValueError("task rate vector must have shape (6,)")
     return TaskRate.from_vector(np.asarray(P) @ xdot)
-
-
-def _scale_moments(columns: np.ndarray, params: MechanismParams) -> np.ndarray:
-    """A copy of wrench columns (6, n) with the moment rows over the platform radius."""
-    scaled = np.array(columns, dtype=float)
-    scaled[3:, :] /= params.r_platform
-    return scaled
-
-
-def _conditioning(scaled_a: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
-    """J = scaled_a^T @ basis and its condition number; raises SingularConfiguration."""
-    J = scaled_a.T @ basis
-    sigma = np.linalg.svd(J, compute_uv=False)
-    if sigma[-1] <= SINGULAR_TOL * sigma[0]:  # also a J that vanishes
-        raise SingularConfiguration("homogenized Jacobian is singular")
-    return J, float(sigma[0] / sigma[-1])
 
 
 def homogenized_jacobian(
@@ -175,5 +190,7 @@ def homogenized_jacobian(
     so the comparison between machines is well defined even though the
     characteristic length itself is a modelling choice.
     """
-    U = _constraint_svd(_scale_moments(Gc, params)[None])
-    return _conditioning(_scale_moments(Ga, params), U[0, :, 3:])
+    G = np.concatenate((Ga, Gc), axis=1, dtype=float)
+    J, kappa, checks = _homogenize(G, params.r_platform)
+    raise_first(checks)
+    return J, float(kappa)

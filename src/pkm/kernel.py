@@ -5,11 +5,11 @@ Every tilt grid runs the chain of the scalar single-pose functions
 on blocks of whole psi rows at once.  Each stage takes (N, ...) arrays with
 one entry per cell, applies the scalar function's arithmetic and checks in
 the same order, and records in a CellStatus code where the scalar function
-raises one of CELL_ERRORS.  The IK stage and the limb spring rates are the
-very functions the scalar chain runs on one pose.  The elementwise stages
-compute every cell of a block, and their results count only where the
-status is still OK.  The scalar functions stay the public API and the
-reference the kernel is tested against.
+raises one of CELL_ERRORS.  The IK stage, the Jacobian stage and the limb
+spring rates are the very functions the scalar chain runs on one pose.
+Every stage computes every cell of a block, and its results count only
+where the status is still OK.  The scalar functions stay the public API
+and the reference the kernel is tested against.
 """
 from __future__ import annotations
 
@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import parasitic
+from . import jacobian, parasitic
 from .errors import CELL_ERRORS, CellStatus
 from .geometry import MechanismParams, home_height
 from .grids import SweepGrid, check_axes
-from .jacobian import RANK_TOL, SINGULAR_LIMB_TOL, SINGULAR_TOL, _wrench_matrix
 from .kinematics import CONSTRAINT_TOL, _solve_limbs
 from .parasitic import CLOSURE_MAX_ITER, CLOSURE_TOL, DAMPING_TRIES
 from .stiffness import STIFFNESS_FIELDS, _limb_rates
@@ -162,18 +161,14 @@ def _solve_closure(
 
 
 def _first_failure(status: np.ndarray, checks) -> np.ndarray:
-    """status with each OK cell set to the code of its first failed check.
-
-    checks are (failed, code) pairs with failed of shape (N, 3), taken limb
-    by limb and, within a limb, in the order given.
-    """
+    """status with each OK cell set to the code of its first failed check;
+    checks are a shared stage's (failed (N,), error class, message), in order."""
     status = status.copy()
     # no pass when nothing failed; count_nonzero, unlike any(), runs no ufunc
     # reduction, whose code pages would add to a map run's peak memory
-    if any(np.count_nonzero(failed) for failed, _ in checks):
-        for limb in range(3):
-            for failed, code in checks:
-                status[(status == OK) & failed[:, limb]] = code
+    if any(np.count_nonzero(failed) for failed, _, _ in checks):
+        for failed, error, _ in checks:
+            status[(status == OK) & failed] = _CODES[error]
     return status
 
 
@@ -190,7 +185,7 @@ def _inverse_kinematics(
     joint[..., 1] += u[:, 1, None]
     joint[..., 2] += z
     _, l1, length, actuated, checks = _solve_limbs(params, joint, CONSTRAINT_TOL)
-    status = _first_failure(status, [(failed, _CODES[error]) for failed, error, _ in checks])
+    status = _first_failure(status, checks)
     limbs = LimbStack(attachment=attachment, l1=l1, length=length, actuated=actuated)
     return limbs, status
 
@@ -198,40 +193,13 @@ def _inverse_kinematics(
 def _jacobian(
     params: MechanismParams, limbs: LimbStack, status: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """build_jacobian for every cell: G (N, 6, 6), kappa (N,) and the updated status.
-
-    The rank checks and the homogenized kappa run, as batched SVDs, only on
-    the cells still OK; kappa is NaN elsewhere.  The full SVD of the scaled
-    Gc runs first.  build_jacobian's check on the unscaled Gc then runs only
-    where the scaled ratio is below 2 max(r, 1/r) RANK_TOL, r the platform
-    radius: elsewhere ratio(Gc) >= ratio(scaled Gc) min(r, 1/r) rules rank
-    loss out, with a factor 2 to spare for rounding.  Both checks set
-    RANK_DEFICIENCY, so their order changes no status.
-    """
-    divisor = (limbs.l1 * limbs.actuated).sum(axis=-1)
-    singular = np.abs(divisor) < SINGULAR_LIMB_TOL
-    status = _first_failure(status, ((singular, CellStatus.SINGULAR_LIMB),))
-    safe = np.where(singular, 1.0, divisor)
-    G = _wrench_matrix(limbs.attachment, limbs.l1, safe, params.layout.tangent)
-
-    kappa = np.full(len(G), np.nan)
-    ok = np.flatnonzero(status == OK)
-    r = params.r_platform
-    # homogenized_jacobian: moment rows over the platform radius on Ga and Gc
-    scaled = G[ok]
-    scaled[:, 3:, :] /= r
-    U, sigma, _ = np.linalg.svd(scaled[:, :, 3:], full_matrices=True)
-    lost = sigma[:, -1] < RANK_TOL * sigma[:, 0]
-    near = np.flatnonzero(~lost & (sigma[:, -1] < 2.0 * max(r, 1.0 / r) * RANK_TOL * sigma[:, 0]))
-    sigma = np.linalg.svd(G[ok[near], :, 3:], compute_uv=False)
-    lost[near] = sigma[:, -1] < RANK_TOL * sigma[:, 0]
-    status[ok[lost]] = CellStatus.RANK_DEFICIENCY
-    J = np.swapaxes(scaled[~lost, :, :3], 1, 2) @ U[~lost, :, 3:]
-    ok = ok[~lost]
-    sigma = np.linalg.svd(J, compute_uv=False)
-    degenerate = sigma[:, -1] <= SINGULAR_TOL * sigma[:, 0]
-    status[ok[degenerate]] = CellStatus.SINGULAR_CONFIGURATION
-    kappa[ok[~degenerate]] = sigma[~degenerate, 0] / sigma[~degenerate, -1]
+    """build_jacobian's stage on every cell: G (N, 6, 6), kappa (N,), NaN
+    where the status is not OK, and the updated status."""
+    G, _, kappa, checks = jacobian._jacobian_stage(
+        params, limbs.attachment, limbs.l1, limbs.actuated, params.layout.tangent
+    )
+    status = _first_failure(status, checks)
+    kappa[status != OK] = np.nan
     return G, kappa, status
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolation, GimbalDegeneracy, UnreachablePose
+from .errors import limb_by_limb, raise_first
 from .geometry import (
     MechanismParams,
     Pose,
@@ -47,16 +48,15 @@ class LimbState:
     actuated_length: float
     actuated: np.ndarray
     revolute: np.ndarray
-    R_spherical: np.ndarray
 
 
 def _solve_limbs(params: MechanismParams, joint: np.ndarray, constraint_tol: float):
     """The IK stage on spherical joint positions (..., 3, 3), world frame, one row per limb.
 
     Returns the limb-frame joint coordinates (gx, gy, gz), the link vectors
-    l1, the actuated lengths and axes, and the checks in the order a limb
-    takes them: (failed (..., 3), error class, message for limb row i).
-    Every limb is solved; its values count only where no check failed.
+    l1, the actuated lengths and axes, and the checks in the order a pose
+    takes them, limb by limb (see limb_by_limb).  Every limb is solved; its
+    values count only where no check failed.
     The PRS head slides a fixed strut along a vertical rail (prismatic,
     then revolute), the RPS head telescopes a strut from a base hinge
     (revolute, then prismatic).
@@ -94,20 +94,7 @@ def _solve_limbs(params: MechanismParams, joint: np.ndarray, constraint_tol: flo
             lambda i: f"limb {i + 1}: joint coincides with the base hinge",
         )
         checks = (off_plane, on_hinge)
-    return (gx, gy, gz), l1, length, actuated, checks
-
-
-def _distal_rotations(params: MechanismParams, l1: np.ndarray) -> np.ndarray:
-    """rot_z(xi) @ rot_y(pitch) (3, 3, 3) of one pose's three distal limb
-    bodies, pitch the angle of the link vector l1 from vertical in its limb
-    plane.  On plain floats with the products written out: at one pose,
-    numpy calls cost more than this arithmetic."""
-    entries = []
-    for c, s, (x, y, z) in zip(params.layout.cos.tolist(), params.layout.sin.tolist(), l1.tolist()):
-        pitch = math.atan2(c * x + s * y, z)
-        cp, sp = math.cos(pitch), math.sin(pitch)
-        entries += (c * cp, -s, c * sp, s * cp, c, s * sp, -sp, 0.0, cp)
-    return np.array(entries).reshape(3, 3, 3)
+    return (gx, gy, gz), l1, length, actuated, limb_by_limb(checks)
 
 
 def inverse_kinematics(
@@ -125,14 +112,11 @@ def inverse_kinematics(
         raise ValueError(f"constraint_tol must be a non-negative length, got {constraint_tol!r}")
     attachment = _attachments(params, pose.R)
     g, l1, length, actuated, checks = _solve_limbs(params, attachment + pose.p, constraint_tol)
-    for i in range(3):
-        for failed, error, message in checks:
-            if failed[i]:
-                raise error(message(i))
+    raise_first(checks)
     layout = params.layout
     g = np.array(g).T
     rows = zip(layout.anchor, attachment, g, l1, length.tolist(), actuated, layout.tangent)
-    return [LimbState(*row, R) for row, R in zip(rows, _distal_rotations(params, l1))]
+    return [LimbState(*row) for row in rows]
 
 
 def _euler_yxz(R: np.ndarray) -> tuple[float, float, float]:
@@ -152,6 +136,19 @@ def _home_distal_rotation(params: MechanismParams, limb: int) -> np.ndarray:
     return params.layout.rz[_limb_row(limb)] @ rot_y(theta2)
 
 
+def _distal_rotation(params: MechanismParams, limb: int, l1: np.ndarray) -> np.ndarray:
+    """rot_z(xi) @ rot_y(pitch) of a limb's distal body, pitch the angle of
+    its link vector l1 from vertical in its limb plane.  On plain floats
+    with the products written out: at one pose, numpy calls cost more than
+    this arithmetic."""
+    row = _limb_row(limb)
+    c, s = params.layout.cos.tolist()[row], params.layout.sin.tolist()[row]
+    x, y, z = l1.tolist()
+    pitch = math.atan2(c * x + s * y, z)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    return np.array(((c * cp, -s, c * sp), (s * cp, c, s * sp), (-sp, 0.0, cp)))
+
+
 def spherical_joint_frame(
     params: MechanismParams, pose: Pose, state: LimbState, limb: int
 ) -> np.ndarray:
@@ -162,7 +159,7 @@ def spherical_joint_frame(
     extracted against the home assembly hits the degenerate middle angle.
     """
     spherical_joint_angles(params, pose, state, limb)
-    return state.R_spherical
+    return _distal_rotation(params, limb, state.l1)
 
 
 def spherical_joint_angles(
@@ -174,5 +171,6 @@ def spherical_joint_angles(
     orientation, so all three angles vanish at the home pose.  Decomposition
     order is Ry, Rx, Rz in the joint frame.
     """
-    relative = state.R_spherical.T @ pose.R @ _home_distal_rotation(params, limb)
+    R = _distal_rotation(params, limb, state.l1)
+    relative = R.T @ pose.R @ _home_distal_rotation(params, limb)
     return _euler_yxz(relative)

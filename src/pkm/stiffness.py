@@ -59,8 +59,8 @@ def _limb_rates(params: MechanismParams, l1: np.ndarray) -> np.ndarray:
     A constraint spring is the spherical joint, k_s = a^T R^T S R a about
     the revolute axis a, with S = diag(k_sx, k_sy, k_sz) and R the distal
     body's orientation rot_z(xi) @ rot_y(pitch), pitch the angle of l1 from
-    vertical in its limb plane, in series with the limb body.  Raises
-    ValueError where k_s is not positive.
+    vertical in its limb plane, in series with the limb body.  R a is a unit
+    vector, so k_s lies, up to rounding, between the least and largest of S.
     """
     coeffs = params.stiffness
     layout = params.layout
@@ -75,10 +75,6 @@ def _limb_rates(params: MechanismParams, l1: np.ndarray) -> np.ndarray:
     vy = c * c - s * u
     vz = sp * s
     k_s = coeffs.k_sx * vx * vx + coeffs.k_sy * vy * vy + coeffs.k_sz * vz * vz
-    # on plain floats: numpy's reductions cost more than the check at one pose
-    bad = [k for k in k_s.ravel().tolist() if k <= 0.0]
-    if bad:
-        raise ValueError(f"effective spherical stiffness must be positive, got {bad[0]!r}")
     rates = np.empty(k_s.shape[:-1] + (6,))
     rates[..., :3] = coeffs.actuation
     # 1 / (1 / k_s + 1 / k_limb_body); np.reciprocal(x) is 1.0 / x without

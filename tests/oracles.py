@@ -130,6 +130,20 @@ def spherical_rate_reference(S, R, axis):
     return float(axis @ R.T @ S @ R @ axis)
 
 
+def distal_rotations_reference(azimuths, l1):
+    """rot_z(xi) @ rot_y(pitch) (3, 3, 3) of one pose's three distal limb
+    bodies from their link vectors l1, pitch the angle from vertical in the
+    limb plane: plain-float math with every product written out, so that a
+    frame built with the same operations matches it bit for bit."""
+    out = []
+    for xi, (x, y, z) in zip(azimuths, np.asarray(l1).tolist()):
+        c, s = math.cos(xi), math.sin(xi)
+        pitch = math.atan2(c * x + s * y, z)
+        cp, sp = math.cos(pitch), math.sin(pitch)
+        out.append([[c * cp, -s, c * sp], [s * cp, c, s * sp], [-sp, 0.0, cp]])
+    return np.array(out)
+
+
 def limb_rates_reference(params, l1):
     """Actuation, then constraint spring rates (6,) of the limbs with link
     vectors l1 (3, 3), limb by limb: the distal body's orientation

@@ -246,6 +246,16 @@ def test_stiffness_coeffs_validation():
         StiffnessCoeffs(k_revolute=math.inf)
 
 
+@pytest.mark.parametrize(
+    "name", ["k_carriage", "k_revolute", "k_limb_body", "k_sx", "k_sy", "k_sz"]
+)
+def test_stiffness_coeffs_reject_denormals(name):
+    # the series sums take reciprocals: a denormal coefficient's overflows
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >= 1e-300, got 1e-320$"):
+        StiffnessCoeffs(**{name: 1e-320})
+    assert getattr(StiffnessCoeffs(**{name: 1e-300}), name) == 1e-300
+
+
 def test_stiffness_coeffs_cache_their_rates():
     coeffs = StiffnessCoeffs(k_carriage=2.0e6, k_revolute=3.0e6, k_limb_body=5.0e6, k_sx=7.0, k_sy=8.0)
     assert coeffs.actuation == 1.0 / (1.0 / 2.0e6 + 1.0 / 3.0e6 + 1.0 / 5.0e6)

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pkm import kernel, parasitic, stiffness
+from pkm import jacobian, kernel, parasitic, stiffness
 from pkm.errors import CELL_ERRORS, CellStatus
 from pkm.geometry import (
     MechanismParams,
@@ -18,11 +18,12 @@ from pkm.geometry import (
     Variant,
     default_params,
     home_height,
+    home_pose,
     pose_from_tilts,
 )
 from pkm.grids import tilt_axes
-from pkm.jacobian import build_jacobian
-from pkm.kinematics import inverse_kinematics
+from pkm.jacobian import build_jacobian, constraint_projector, homogenized_jacobian
+from pkm.kinematics import LimbState, inverse_kinematics
 from pkm.parasitic import solve_loop_closure
 from pkm.stiffness import STIFFNESS_FIELDS, assemble_stiffness
 
@@ -396,6 +397,95 @@ def test_jacobian_reuse_follows_ik_status(monkeypatch):
 
     monkeypatch.setattr(kernel, "_inverse_kinematics", failing)
     assert_offsets_evaluate_alone(params, tilt_axes(9, 40.0), z0)
+
+
+def hand_built_cells(params):
+    """Limb rows (attachment, l1, actuated), each (N, 3, 3), of cells named
+    for the first Jacobian check they fail, and the checks each fails."""
+    up = np.array([0.0, 0.0, 1.0])
+    radial = params.layout.body / params.r_platform
+    centre = np.zeros((3, 3))  # every force through the platform centre
+    vertical = np.tile(500.0 * up, (3, 1))
+    tipped = vertical.copy()
+    tipped[2] = 500.0 * radial[2]  # limb 3 square to its rail
+    flat = (params.r_platform - params.r_base) * radial  # struts in the base plane
+    home = inverse_kinematics(params, home_pose(params))
+    at_home = [[getattr(s, k) for s in home] for k in ("attachment", "l1", "actuated")]
+    cells = {
+        "OK": (*at_home, set()),
+        # constraint forces through one point span rank 2
+        "SINGULAR_LIMB": (
+            centre,
+            tipped,
+            np.tile(up, (3, 1)),
+            {"SingularLimb", "RankDeficiency", "SingularConfiguration"},
+        ),
+        # and parallel actuation forces through it leave J of rank 1
+        "RANK_DEFICIENCY": (
+            centre,
+            vertical,
+            np.tile(up, (3, 1)),
+            {"RankDeficiency", "SingularConfiguration"},
+        ),
+        # radial actuation forces in one plane
+        "SINGULAR_CONFIGURATION": (
+            params.layout.body,
+            flat,
+            -radial,
+            {"SingularConfiguration"},
+        ),
+    }
+    names = list(cells)
+    attachment, l1, actuated = (np.array([cells[n][k] for n in names]) for k in range(3))
+    return names, attachment, l1, actuated, [cells[n][3] for n in names]
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_check_order_on_hand_built_stacks(variant):
+    # cells that fail several checks at once: the kernel's status and the
+    # scalar raise name the same first failure, the singular limb (limb 3)
+    # before the per-cell checks
+    params = default_params(variant)
+    names, attachment, l1, actuated, fails = hand_built_cells(params)
+    n = len(names)
+    *_, checks = jacobian._jacobian_stage(params, attachment, l1, actuated, params.layout.tangent)
+    for cell, want in enumerate(fails):
+        assert {error.__name__ for failed, error, _ in checks if failed[cell].any()} == want
+    limbs = kernel.LimbStack(attachment, l1, np.zeros((n, 3)), actuated)
+    G, kappa, status = kernel._jacobian(params, limbs, np.zeros(n, dtype=np.int8))
+    assert [CellStatus(code).name for code in status] == names
+    assert np.array_equal(np.isnan(kappa), [name != "OK" for name in names])
+    for cell, name in enumerate(names):
+        rows = zip(attachment[cell], l1[cell], actuated[cell], params.layout.tangent)
+        states = [LimbState(np.zeros(3), a, np.zeros(3), l, 0.0, x, t) for a, l, x, t in rows]
+        if name == "OK":
+            assert build_jacobian(params, home_pose(params), states).kappa == kappa[cell]
+            continue
+        error = CELL_ERRORS[CellStatus[name] - 1]
+        with pytest.raises(error, match="^limb 3: " if name == "SINGULAR_LIMB" else None):
+            build_jacobian(params, home_pose(params), states)
+        if name != "SINGULAR_LIMB":
+            # the public wrappers run the same per-cell checks on G
+            with pytest.raises(error):
+                homogenized_jacobian(G[cell, :, :3], G[cell, :, 3:], params)
+    with pytest.raises(CELL_ERRORS[CellStatus.RANK_DEFICIENCY - 1]):
+        constraint_projector(G[names.index("RANK_DEFICIENCY"), :, 3:])
+
+
+def test_scalar_and_kernel_run_one_jacobian_stage(monkeypatch):
+    # a second copy of the stage in either path would leave its calls uncounted
+    calls = []
+    stage = jacobian._jacobian_stage
+
+    def counted(params, attachment, l1, actuated, revolute):
+        calls.append(l1.shape[:-2])
+        return stage(params, attachment, l1, actuated, revolute)
+
+    monkeypatch.setattr(jacobian, "_jacobian_stage", counted)
+    params = default_params(Variant.A3_RPS)
+    build_jacobian(params, home_pose(params))
+    kernel.evaluate_grid(params, *tilt_axes(3, 10.0))
+    assert calls == [(), (9,)]
 
 
 def test_table_columns_are_sweep_grids():

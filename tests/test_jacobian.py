@@ -155,7 +155,6 @@ def test_singular_limb_detection(z3_params):
         actuated_length=0.0,
         actuated=Z_AXIS,
         revolute=np.array([0.0, 1.0, 0.0]),
-        R_spherical=np.eye(3),
     )
     with pytest.raises(SingularLimb):
         build_jacobian(z3_params, pose, [state, state, state])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_compatible_pose
-from oracles import ik_a3_reference, ik_z3_reference
+from oracles import distal_rotations_reference, ik_a3_reference, ik_z3_reference
 from pkm.errors import ConstraintViolation, GimbalDegeneracy, UnreachablePose
 from pkm.geometry import (
     MechanismParams,
@@ -138,6 +138,18 @@ def test_spherical_angles_track_articulation(params, rng):
         relative = frame.T @ cp.pose.R @ _home_frame(params, limb)
         assert np.max(np.abs(rebuilt - relative)) < 1e-12
     assert total > 1e-3
+
+
+def test_spherical_frame_is_bit_equal_to_reference(params, rng):
+    # the frame is built from the limb state on demand, with the same
+    # floating-point operations as the reference, so every bit agrees
+    for _ in range(20):
+        pose = random_compatible_pose(params, rng).pose
+        states = inverse_kinematics(params, pose)
+        want = distal_rotations_reference(params.azimuths, [state.l1 for state in states])
+        for limb, state in enumerate(states, start=1):
+            frame = spherical_joint_frame(params, pose, state, limb)
+            assert frame.tobytes() == want[limb - 1].tobytes()
 
 
 def _home_frame(params, limb):

@@ -6,12 +6,14 @@ import pytest
 
 from conftest import random_compatible_pose
 from oracles import limb_rates_reference, spherical_rate_reference, stiffness_rank1
+from pkm import kernel
 from pkm.errors import SingularStiffness
 from pkm.geometry import (
     MechanismParams,
     Pose,
     StiffnessCoeffs,
     Variant,
+    default_params,
     home_height,
     home_pose,
     rot_z,
@@ -280,3 +282,22 @@ def test_parasitic_keyed_samples_match_rotational(params):
     xs = np.array([s[0] for s in samples])
     ys = np.array([s[1] for s in samples])
     assert np.max(np.hypot(xs, ys)) < 0.2 * 250.0
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_smallest_coefficients_give_finite_stiffness(variant, rng):
+    # every coefficient at the floor: the reciprocals in the series sums
+    # stay finite, so K and the kernel's columns are finite and positive
+    # (the suite turns RuntimeWarnings into errors)
+    fields = ("k_carriage", "k_revolute", "k_limb_body", "k_sx", "k_sy", "k_sz")
+    params = replace(
+        default_params(variant), stiffness=StiffnessCoeffs(**dict.fromkeys(fields, 1e-300))
+    )
+    for pose in (home_pose(params), random_compatible_pose(params, rng).pose):
+        result = assemble_stiffness(params, pose)
+        assert np.all(np.isfinite(result.K))
+        assert all(value > 0.0 for value in result.diagonal_measures().values())
+    table = kernel.evaluate_grid(params, *tilt_axes(5, 30.0))
+    for name in STIFFNESS_FIELDS:
+        values = table[name].values
+        assert np.all(np.isfinite(values)) and np.all(values > 0.0), name
