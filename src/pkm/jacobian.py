@@ -103,23 +103,51 @@ def _homogenize(G: np.ndarray, r: float):
 
 
 def _constraint_rank(scaled: np.ndarray, Gc: np.ndarray, r: float):
-    """U (..., 6, 6) of the full SVD of scaled constraint wrenches (..., 6, 3)
-    and the RankDeficiency check of them and of Gc, their moment rows times r.
+    """Q (..., 6, 6), whose last three columns span the complement of scaled
+    constraint wrenches (..., 6, 3), and the RankDeficiency check of them
+    and of Gc, their moment rows times r.
 
-    The check on Gc runs only where the scaled ratio is below 2 max(r, 1/r)
-    RANK_TOL: elsewhere ratio(Gc) >= ratio(scaled) min(r, 1/r) rules rank
-    loss out, with a factor 2 to spare for rounding.
+    Q is the complete QR factor of scaled.  LAPACK's SVD of a 6 x 3 matrix
+    starts from this very QR, so Q[..., 3:] is the full SVD's U[..., 3:]
+    bit for bit (tests/test_jacobian.py guards this).  A cheap bound rules
+    rank loss out for most cells: sigma3 / sigma1 >= |r11 r22 r33| / |R|_F^3,
+    as |r11 r22 r33| = sigma1 sigma2 sigma3 and |R|_F >= sigma1 >= sigma2.
+    Where the bound clears 4 max(r, 1/r) RANK_TOL, the cell keeps full rank
+    with a factor 2 to spare for rounding.  The other cells take the full
+    SVD of scaled, whose U replaces Q there, and the rank check runs on its
+    ratio.  That check runs on Gc only where the scaled ratio is below
+    2 max(r, 1/r) RANK_TOL.  Elsewhere ratio(Gc) >= ratio(scaled) min(r, 1/r)
+    rules rank loss out, again with a factor 2 to spare for rounding.
     """
-    U, sigma, _ = np.linalg.svd(scaled, full_matrices=True)
-    low, top = sigma[..., -1], sigma[..., 0]
-    lost = np.asarray(low < RANK_TOL * top)  # writable at one pose too
-    near = ~lost & (low < 2.0 * max(r, 1.0 / r) * RANK_TOL * top)
-    if np.count_nonzero(near):
-        unscaled = np.linalg.svd(Gc[near], compute_uv=False)
-        sigma[near] = unscaled
-        lost[near] = unscaled[:, -1] < RANK_TOL * unscaled[:, 0]
-    text = "constraint wrenches span only rank {}".format
-    return U, (lost, RankDeficiency, lambda: text(np.count_nonzero(sigma >= RANK_TOL * sigma[0])))
+    Q, R = np.linalg.qr(scaled, mode="complete")
+    # |R|_F^2 counts as at least 1e-200, where the bound could underflow; an
+    # overflow or a NaN clears nothing (the product is at most 0.2 |R|_F^3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = np.abs(R.diagonal(0, -2, -1).prod(axis=-1))
+        cube = np.maximum((R * R).sum(axis=(-2, -1)), 1e-200) ** 1.5
+    bound = 2.0 * max(r, 1.0 / r) * RANK_TOL
+    # an array at one pose too, where count_nonzero costs less
+    unclear = np.asarray(~(product > 2.0 * bound * cube))
+    lost = np.zeros(unclear.shape, dtype=bool)
+    sigma = None
+    if np.count_nonzero(unclear):
+        U, sigma, _ = np.linalg.svd(scaled[unclear], full_matrices=True)
+        Q[unclear] = U
+        low, top = sigma[:, -1], sigma[:, 0]
+        lost_here = low < RANK_TOL * top
+        near = ~lost_here & (low < bound * top)
+        if np.count_nonzero(near):
+            unscaled = np.linalg.svd(Gc[unclear][near], compute_uv=False)
+            sigma[near] = unscaled
+            lost_here[near] = unscaled[:, -1] < RANK_TOL * unscaled[:, 0]
+        lost[unclear] = lost_here
+
+    def message():
+        # asked at one pose that lost rank, so the gate did not clear it
+        rank = np.count_nonzero(sigma[0] >= RANK_TOL * sigma[0, 0])
+        return f"constraint wrenches span only rank {rank}"
+
+    return Q, (lost, RankDeficiency, message)
 
 
 def build_jacobian(

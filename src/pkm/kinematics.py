@@ -146,7 +146,7 @@ def _distal_rotation(params: MechanismParams, limb: int, l1: np.ndarray) -> np.n
     x, y, z = l1.tolist()
     pitch = math.atan2(c * x + s * y, z)
     cp, sp = math.cos(pitch), math.sin(pitch)
-    return np.array(((c * cp, -s, c * sp), (s * cp, c, s * sp), (-sp, 0.0, cp)))
+    return np.array((c * cp, -s, c * sp, s * cp, c, s * sp, -sp, 0.0, cp)).reshape(3, 3)
 
 
 def spherical_joint_frame(
@@ -158,8 +158,9 @@ def spherical_joint_frame(
     revolute axis).  Raises GimbalDegeneracy when the joint articulation
     extracted against the home assembly hits the degenerate middle angle.
     """
-    spherical_joint_angles(params, pose, state, limb)
-    return _distal_rotation(params, limb, state.l1)
+    R = _distal_rotation(params, limb, state.l1)
+    _articulation(params, pose, R, limb)
+    return R
 
 
 def spherical_joint_angles(
@@ -171,6 +172,9 @@ def spherical_joint_angles(
     orientation, so all three angles vanish at the home pose.  Decomposition
     order is Ry, Rx, Rz in the joint frame.
     """
-    R = _distal_rotation(params, limb, state.l1)
-    relative = R.T @ pose.R @ _home_distal_rotation(params, limb)
-    return _euler_yxz(relative)
+    return _articulation(params, pose, _distal_rotation(params, limb, state.l1), limb)
+
+
+def _articulation(params: MechanismParams, pose: Pose, R: np.ndarray, limb: int):
+    """spherical_joint_angles of a limb whose distal body has the rotation R."""
+    return _euler_yxz(R.T @ pose.R @ _home_distal_rotation(params, limb))

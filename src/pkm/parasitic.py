@@ -95,10 +95,29 @@ def _closure_rows(params: MechanismParams, attachments: np.ndarray, u: np.ndarra
     return residual, _constraint_rows(params, attachments)
 
 
-def _closure_residual(params: MechanismParams, ry: np.ndarray, rx: np.ndarray, u):
-    """_closure_rows at the orientation rot_z(u[2]) @ ry @ rx, where ry and
-    rx are rot_y(theta) and rot_x(psi) of the tilts."""
-    return _closure_rows(params, _attachments(params, rot_z(u[2]) @ ry @ rx), u)
+def _closure_state(params: MechanismParams, ry: np.ndarray, rx: np.ndarray, u):
+    """One pose's offsets g_iy and C1, as _closure_rows computes them, at
+    u = (x, y, gamma) and the orientation rot_z(gamma) @ ry @ rx, where ry
+    and rx are rot_y(theta) and rot_x(psi) of the tilts.
+
+    The same floating-point operations on plain floats, after the numpy
+    products: at one pose, a numpy call costs more than its arithmetic.
+    g is a list, C1 a flat list of its rows.
+    """
+    x, y, gamma = u
+    attachments = _attachments(params, rot_z(gamma) @ ry @ rx).tolist()
+    layout = params.layout
+    g, C1 = [], []
+    for (ax, ay, _), c, s in zip(attachments, layout.cos.tolist(), layout.sin.tolist()):
+        g.append(-s * (x + ax) + c * (y + ay))
+        C1 += (-s, c, ax * c + ay * s)
+    return g, C1
+
+
+def _largest_magnitude(values) -> float:
+    """max |v| over three values, NaN if one is NaN, as np.abs(values).max() gives it."""
+    a, b, c = map(abs, values)
+    return max(a, b, c) if a == a and b == b and c == c else math.nan
 
 
 def _check_tilt_bounds(psi: float, theta: float) -> None:
@@ -126,28 +145,30 @@ def solve_loop_closure(
         z = home_height(params)
     # orientation_from_tilts, with the tilt rotations built once per solve
     ry, rx = rot_y(theta), rot_x(psi)
-    u = np.zeros(3)
-    residual, jac = _closure_residual(params, ry, rx, u)
-    norm = np.abs(residual).max()
+    u = (0.0, 0.0, 0.0)
+    residual, C1 = _closure_state(params, ry, rx, u)
+    norm = _largest_magnitude(residual)
     converged = norm < CLOSURE_TOL
     for _ in range(CLOSURE_MAX_ITER):
         if converged:
             break
         try:
-            step = np.linalg.solve(jac, -residual)
+            # the solve is odd in its right-hand side, bit for bit, so u - scale * step
+            # is the Newton trial u + scale * solve(C1, -residual)
+            step = np.linalg.solve(np.reshape(C1, (3, 3)), residual).tolist()
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"closure Jacobian singular: {exc}", residual=norm)
         scale = 1.0
         for _halving in range(DAMPING_TRIES):
-            trial = u + scale * step
-            trial_residual, trial_jac = _closure_residual(params, ry, rx, trial)
-            trial_norm = np.abs(trial_residual).max()
+            trial = [a - scale * b for a, b in zip(u, step)]
+            trial_residual, trial_C1 = _closure_state(params, ry, rx, trial)
+            trial_norm = _largest_magnitude(trial_residual)
             if trial_norm < norm or trial_norm < CLOSURE_TOL:
                 break
             scale *= 0.5
         else:
             raise NoConvergence("damping exhausted without residual decrease", residual=norm)
-        u, residual, jac, norm = trial, trial_residual, trial_jac, trial_norm
+        u, residual, C1, norm = trial, trial_residual, trial_C1, trial_norm
         converged = norm < CLOSURE_TOL
     if not converged:
         raise NoConvergence(
@@ -258,9 +279,9 @@ def integrate_parasitic_path(
         g = g + sixth * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(g)):
             raise IntegrationDiverged(f"state blew up at path parameter {s + h:.4g}")
-    u = np.array([x, y, g])
-    residual, _ = _closure_residual(params, rot_y(theta), rot_x(psi), u)
-    drift = float(np.abs(residual).max())
+    u = (x, y, g)
+    residual, _ = _closure_state(params, rot_y(theta), rot_x(psi), u)
+    drift = _largest_magnitude(residual)
     if drift > 1e-6:
         raise IntegrationDiverged(f"end-point constraint residual {drift:.3g} mm")
     return _compatible_pose(psi, theta, z, u)

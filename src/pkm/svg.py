@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -192,14 +193,14 @@ def emit_heatmap_svg(
         f'height="{ch + 0.05:.2f}" fill="'
         for j in range(n_theta)
     ]
-    fills = {-1: "url(#miss)"}
+    # each colour's fill and line end, built once per colour
+    tails = {-1: 'url(#miss)"/>\n'}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"{line}\n" for line in out[:cells_at])
         for i in range(n_psi):
             row = codes[i].tolist()
-            fills.update((code, f"#{code:06x}") for code in set(row).difference(fills))
+            tails.update((code, f'#{code:06x}"/>\n') for code in set(row).difference(tails))
+            # a row's cells, each its x prefix, its column's y to fill and its tail
             prefix = f'<rect x="{_MARGIN_L + i * cw:.2f}" y="'
-            fh.writelines(
-                f'{prefix}{column}{fills[code]}"/>\n' for column, code in zip(columns, row)
-            )
+            fh.write(prefix + prefix.join(map(operator.add, columns, map(tails.__getitem__, row))))
         fh.writelines(f"{line}\n" for line in out[cells_at:])

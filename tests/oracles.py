@@ -51,6 +51,27 @@ def kappa_eig(Ga, Gc, r_platform):
     return float(np.sqrt(w[-1] / w[0]))
 
 
+def constraint_rank_reference(scaled, Gc, r, rank_tol=1e-10):
+    """The constraint rank check with one full SVD of every cell, as the
+    package ran it before its QR gate: (U, lost, rank) of scaled constraint
+    wrenches (..., 6, 3) whose moment rows times r are Gc.
+
+    The unscaled Gc decides where the scaled ratio sigma3 / sigma1 is below
+    2 max(r, 1/r) rank_tol; rank counts the singular values that decided,
+    at least rank_tol times the largest.
+    """
+    U, sigma, _ = np.linalg.svd(scaled, full_matrices=True)
+    low, top = sigma[..., -1], sigma[..., 0]
+    lost = np.asarray(low < rank_tol * top)
+    near = ~lost & (low < 2.0 * max(r, 1.0 / r) * rank_tol * top)
+    if np.count_nonzero(near):
+        unscaled = np.linalg.svd(Gc[near], compute_uv=False)
+        sigma[near] = unscaled
+        lost[near] = unscaled[:, -1] < rank_tol * unscaled[:, 0]
+    rank = np.count_nonzero(sigma >= rank_tol * sigma[..., :1], axis=-1)
+    return U, lost, rank
+
+
 def stiffness_rank1(G, rates):
     """K as an explicit sum of k_i * w_i w_i^T over the six wrench columns."""
     K = np.zeros((6, 6))
@@ -220,6 +241,92 @@ def heatmap_cells_reference(grid, palette):
                 f'height="{ch + 0.05:.2f}" fill="{fill}"/>'
             )
     return lines
+
+
+def emit_heatmap_svg_reference(grid, palette, path, title="", value_label=""):
+    """The whole heatmap file, line by line: one palette_color call per cell
+    (heatmap_cells_reference) and per colour-bar strip."""
+    from pkm.svg import palette_color
+
+    margin_l, margin_r, margin_t, margin_b, plot = 64.0, 110.0, 34.0, 50.0, 484.0
+    bar_x, bar_w, strips = margin_l + plot + 26.0, 18.0, 64
+    valid = grid.values[np.isfinite(grid.values)]
+    vmin, vmax = (float(valid.min()), float(valid.max())) if valid.size else (0.0, 0.0)
+    width, height = margin_l + plot + margin_r, margin_t + plot + margin_b
+    text = 'font-family="sans-serif"'
+
+    def ticks(axis):
+        lo, hi = math.degrees(axis[0]), math.degrees(axis[-1])
+        return [(0.0, f"{lo:.4g}"), (0.5, f"{(lo + hi) / 2.0:.4g}"), (1.0, f"{hi:.4g}")]
+
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
+        f'viewBox="0 0 {width:.0f} {height:.0f}">',
+        "<defs>",
+        '<pattern id="miss" width="6" height="6" patternUnits="userSpaceOnUse">',
+        '<rect width="6" height="6" fill="#ffffff"/>',
+        '<path d="M0,6 L6,0" stroke="#999999" stroke-width="1"/>',
+        "</pattern>",
+        "</defs>",
+        f'<rect width="{width:.0f}" height="{height:.0f}" fill="#ffffff"/>',
+    ]
+    if title:
+        lines.append(
+            f'<text x="{margin_l + plot / 2.0:.2f}" y="22" {text} font-size="15" '
+            f'text-anchor="middle">{title}</text>'
+        )
+    lines += heatmap_cells_reference(grid, palette)
+    lines.append(
+        f'<rect x="{margin_l:.2f}" y="{margin_t:.2f}" width="{plot:.2f}" height="{plot:.2f}" '
+        f'fill="none" stroke="#333333" stroke-width="1"/>'
+    )
+    for frac, label in ticks(grid.psi_axis):
+        lines.append(
+            f'<text x="{margin_l + frac * plot:.2f}" y="{margin_t + plot + 18.0:.2f}" {text} '
+            f'font-size="12" text-anchor="middle">{label}</text>'
+        )
+    for frac, label in ticks(grid.theta_axis):
+        lines.append(
+            f'<text x="{margin_l - 8.0:.2f}" y="{margin_t + plot - frac * plot + 4.0:.2f}" '
+            f'{text} font-size="12" text-anchor="end">{label}</text>'
+        )
+    lines.append(
+        f'<text x="{margin_l + plot / 2.0:.2f}" y="{height - 12.0:.2f}" {text} '
+        f'font-size="13" text-anchor="middle">psi [deg]</text>'
+    )
+    mid = margin_t + plot / 2.0
+    lines.append(
+        f'<text x="16" y="{mid:.2f}" {text} font-size="13" text-anchor="middle" '
+        f'transform="rotate(-90 16 {mid:.2f})">theta [deg]</text>'
+    )
+    strip = plot / strips
+    for k in range(strips):
+        lines.append(
+            f'<rect x="{bar_x:.2f}" y="{margin_t + plot - (k + 1) * strip:.2f}" '
+            f'width="{bar_w:.2f}" height="{strip + 0.05:.2f}" '
+            f'fill="{palette_color(palette, (k + 0.5) / strips)}"/>'
+        )
+    lines.append(
+        f'<rect x="{bar_x:.2f}" y="{margin_t:.2f}" width="{bar_w:.2f}" height="{plot:.2f}" '
+        f'fill="none" stroke="#333333" stroke-width="1"/>'
+    )
+    lines.append(
+        f'<text x="{bar_x + bar_w + 6.0:.2f}" y="{margin_t + plot:.2f}" {text} '
+        f'font-size="11">{vmin:.12g}</text>'
+    )
+    lines.append(
+        f'<text x="{bar_x + bar_w + 6.0:.2f}" y="{margin_t + 10.0:.2f}" {text} '
+        f'font-size="11">{vmax:.12g}</text>'
+    )
+    if value_label:
+        lines.append(
+            f'<text x="{bar_x + bar_w / 2.0:.2f}" y="{margin_t - 10.0:.2f}" {text} '
+            f'font-size="12" text-anchor="middle">{value_label}</text>'
+        )
+    lines.append("</svg>")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def write_map_csv_reference(path, fields, units_note=None):

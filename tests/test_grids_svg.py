@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pkm import svg
+from pkm import grids
 from pkm.grids import SweepGrid, fmt12, read_map_csv, tilt_axes, write_map_csv
 from pkm.svg import emit_heatmap_svg, palette_color
 
-from oracles import heatmap_cells_reference, write_map_csv_reference
+from oracles import emit_heatmap_svg_reference, heatmap_cells_reference, write_map_csv_reference
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -183,12 +184,23 @@ def test_heatmap_svg_constant_field(tmp_path):
     assert palette_color("viridis", 0.5) in text
 
 
-EDGE_GRIDS = ("non-square", "2x2", "holes", "constant", "all-missing")
+EDGE_GRIDS = ("non-square", "2x2", "holes", "constant", "all-missing", "specials", "1xN", "Nx1")
+# every kind of float the writers format or blank
+SPECIAL_VALUES = (
+    np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308,
+    1e300, -1e300, 1e-300, -1e-300, 1.0 / 3.0, -123456.789012345, 1e16, 0.1,
+)
 
 
 def _edge_grid(case, rng):
     psi, theta = tilt_axes(7, 30.0)[0], tilt_axes(4, 20.0)[1]
-    if case == "non-square":
+    if case == "specials":
+        values = rng.permutation(np.resize(np.array(SPECIAL_VALUES), 28)).reshape(7, 4)
+    elif case in ("1xN", "Nx1"):
+        axis, single = np.linspace(-0.5, 0.5, 9), np.array([0.25])
+        psi, theta = (single, axis) if case == "1xN" else (axis, single)
+        values = np.array(SPECIAL_VALUES[:9]).reshape(len(psi), len(theta))
+    elif case == "non-square":
         values = rng.uniform(-1.0, 1.0, (7, 4)) * 10.0 ** rng.integers(-9, 9, (7, 4))
     elif case == "2x2":
         psi, theta = tilt_axes(2, 10.0)
@@ -217,6 +229,25 @@ def test_heatmap_cells_match_scalar_reference(tmp_path, rng, case, palette):
     # the plot frame follows the last cell
     assert lines[start + len(cells)].startswith('<rect x="64.00" y="34.00" width="484.00"')
     assert text.endswith("</svg>\n")
+
+
+@pytest.mark.parametrize("palette", ["viridis", "coolwarm"])
+@pytest.mark.parametrize("case", EDGE_GRIDS)
+def test_heatmap_file_matches_per_cell_writer(tmp_path, rng, case, palette):
+    grid = _edge_grid(case, rng)
+    emit_heatmap_svg(grid, palette, tmp_path / "new.svg", title=case, value_label="v")
+    emit_heatmap_svg_reference(grid, palette, tmp_path / "ref.svg", title=case, value_label="v")
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+
+
+def test_csv_rows_formatted_once_for_several_files(tmp_path, rng):
+    cases = ("specials", "all-missing", "holes")
+    fields = {case: _edge_grid(case, rng) for case in cases}
+    targets = [(tmp_path / "one.csv", "units: one"), (tmp_path / "two.csv", None)]
+    grids._write_map_csvs(fields, targets)
+    for path, note in targets:
+        write_map_csv_reference(tmp_path / "ref.csv", fields, units_note=note)
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes(), path.name
 
 
 @pytest.mark.parametrize("case", EDGE_GRIDS)
@@ -281,3 +312,4 @@ def test_cached_colour_bar_matches_per_strip_palette_color(tmp_path, palette):
     assert lines[start : start + 64] == expected
     with pytest.raises(ValueError, match="unknown palette"):
         svg._colour_bar("plasma")
+

@@ -6,11 +6,13 @@ import pytest
 from conftest import random_compatible_pose
 from oracles import (
     assert_wrench_columns_close,
+    constraint_rank_reference,
     kappa_eig,
     projector_pinv,
     rotate_pose_step,
     wrench_matrix_reference,
 )
+from pkm import jacobian, kernel
 from pkm.errors import RankDeficiency, SingularLimb
 from pkm.geometry import (
     MechanismParams,
@@ -18,6 +20,7 @@ from pkm.geometry import (
     TaskRate,
     Variant,
     Z_AXIS,
+    default_params,
     home_pose,
     platform_attachment,
     rot_z,
@@ -29,6 +32,7 @@ from pkm.jacobian import (
     homogenized_jacobian,
     project_task_rate,
 )
+from pkm.grids import tilt_axes
 from pkm.kinematics import LimbState, inverse_kinematics
 
 HOME_P_DIAG = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 0.0])
@@ -190,3 +194,86 @@ def test_homogenized_jacobian_shape_and_convention(params):
     J, kappa = homogenized_jacobian(jac.Ga, jac.Gc, params)
     assert np.max(np.abs(J - jac.J_hom)) < 1e-12
     assert kappa == jac.kappa
+
+
+def kernel_constraint_stacks(monkeypatch, params, grid_n, tilt_max_deg):
+    """The unscaled constraint wrenches (N, 6, 3) of every cell that the
+    kernel factors on a grid_n^2 grid at the home height."""
+    stacks = []
+    rank = jacobian._constraint_rank
+
+    def recorded(scaled, Gc, r):
+        stacks.append(np.array(Gc))
+        return rank(scaled, Gc, r)
+
+    monkeypatch.setattr(jacobian, "_constraint_rank", recorded)
+    kernel.evaluate_grid(params, *tilt_axes(grid_n, tilt_max_deg))
+    monkeypatch.undo()
+    return np.concatenate(stacks)
+
+
+def near_rank2_stacks(rng, n):
+    """Rank-2 constraint stacks plus a perturbation of 1e-16 to 1e-6 of their
+    size, every decade many times over, at sizes from 1e-3 to 1e3."""
+    rank2 = rng.standard_normal((n, 6, 2)) @ rng.standard_normal((n, 2, 3))
+    eps = 10.0 ** np.linspace(-16.0, -6.0, n)
+    size = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    return size[:, None, None] * (rank2 + eps[:, None, None] * rng.standard_normal((n, 6, 3)))
+
+
+def scaled_by(Gc, r):
+    scaled = np.array(Gc)
+    scaled[..., 3:, :] /= r
+    return scaled
+
+
+def test_qr_factor_matches_full_svd_bit_for_bit(monkeypatch, rng):
+    # the kernel's J and kappa take the constraint complement from a QR
+    # factor where the full SVD used to give it; LAPACK's SVD of a 6 x 3
+    # matrix starts from that QR, so the complements agree in every bit
+    stacks = [
+        rng.standard_normal((4000, 6, 3)),
+        near_rank2_stacks(rng, 4000),
+        *(kernel_constraint_stacks(monkeypatch, default_params(v), 41, 40.0) for v in Variant),
+    ]
+    for Gc in stacks:
+        for r in (1.0, 250.0):
+            scaled = scaled_by(Gc, r)
+            Q = np.linalg.qr(scaled, mode="complete")[0]
+            U = np.linalg.svd(scaled, full_matrices=True)[0]
+            differ = np.count_nonzero((Q[..., 3:] != U[..., 3:]).any(axis=(-2, -1)))
+            assert differ == 0, (
+                f"{differ} of {len(Gc)} cells: numpy's QR and SVD no longer share their "
+                "Householder factor on this LAPACK, and bundle bytes rest on it"
+            )
+
+
+@pytest.mark.parametrize("r", [1e-11, 1.0, 250.0, 1e6], ids=["1e-11", "1", "stock", "1e6"])
+def test_gated_rank_check_matches_full_svd_check(monkeypatch, rng, r):
+    # the QR gate skips the SVD only where rank loss is ruled out: the
+    # verdict, the message and the complement match one full SVD per cell
+    needle = dict(r_base=1.4e-11, r_platform=1e-11, link_length=1.0)
+    machines = [MechanismParams(v, **needle) for v in Variant]
+    machines.append(MechanismParams(Variant.Z3_PRS, link_length=105.0))
+    machines.append(MechanismParams(Variant.A3_RPS, link_length=100.001))
+    stacks = np.concatenate(
+        [
+            rng.standard_normal((2000, 6, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (2000, 1, 1)),
+            near_rank2_stacks(rng, 4000),
+            # sizes where the bound would underflow or overflow, and no size at all
+            near_rank2_stacks(rng, 40) * 10.0 ** rng.choice([-160, -110, 110, 150], (40, 1, 1)),
+            np.zeros((1, 6, 3)),
+            *(kernel_constraint_stacks(monkeypatch, m, 9, 30.0) for m in machines),
+        ]
+    )
+    scaled = scaled_by(stacks, r)
+    Q, (lost, error, _) = jacobian._constraint_rank(scaled, stacks, r)
+    U, want_lost, want_rank = constraint_rank_reference(scaled, stacks, r)
+    assert error is RankDeficiency
+    assert np.array_equal(lost, want_lost)
+    assert np.array_equal(Q[~lost][..., 3:], U[~lost][..., 3:])
+    assert 0 < np.count_nonzero(lost) < len(stacks)
+    for cell in np.flatnonzero(lost)[:: max(1, np.count_nonzero(lost) // 200)]:
+        _, (one_lost, _, message) = jacobian._constraint_rank(scaled[cell], stacks[cell], r)
+        assert one_lost
+        assert message() == f"constraint wrenches span only rank {want_rank[cell]}"

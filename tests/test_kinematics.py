@@ -168,6 +168,9 @@ def test_gimbal_degeneracy_detected(z3_params):
     bad_pose = Pose(p=pose_home.p, R=bad_R)
     with pytest.raises(GimbalDegeneracy):
         spherical_joint_angles(z3_params, bad_pose, states[0], 1)
+    # the frame runs the same check on the rotation it returns
+    with pytest.raises(GimbalDegeneracy, match="middle angle"):
+        spherical_joint_frame(z3_params, bad_pose, states[0], 1)
 
 
 def test_joint_axis_selection(params, rng):
