@@ -7,6 +7,7 @@ silently fall back to defaults.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -38,7 +39,11 @@ class SweepSettings:
     kappa_min_inv: float = 0.05
 
     def __post_init__(self):
-        if self.grid_n < 2:
+        try:
+            grid_n = operator.index(self.grid_n)
+        except TypeError:
+            raise ConfigError(f"grid_n must be an integer, got {self.grid_n!r}") from None
+        if grid_n < 2:
             raise ConfigError("grid_n must be at least 2")
         if not (0.0 < self.tilt_max_deg <= 60.0):
             raise ConfigError("tilt_max_deg must lie in (0, 60]")

@@ -8,8 +8,10 @@ the same order, and records in a CellStatus code where the scalar function
 raises one of CELL_ERRORS.  The IK stage, the Jacobian stage and the limb
 spring rates are the very functions the scalar chain runs on one pose.
 Every stage computes every cell of a block, and its results count only
-where the status is still OK.  The scalar functions stay the public API
-and the reference the kernel is tested against.
+where the status is still OK.  The last table is kept, and the next call
+on the same grid takes its closure from it: the closure does not depend
+on the head, the heave or the map.  The scalar functions stay the public
+API and the reference the kernel is tested against.
 """
 from __future__ import annotations
 
@@ -214,17 +216,20 @@ def _evaluate_cells(
     params: MechanismParams,
     ry: np.ndarray,
     rx: np.ndarray,
+    u: np.ndarray,
+    closure: np.ndarray,
     z0: float,
     offsets: tuple[float, ...],
     kappa_min_inv: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Records (N, len(RECORD) + len(offsets)) and status codes of a stack of
-    cells, given each cell's rot_y(theta) and rot_x(psi)."""
+    cells, given each cell's rot_y(theta), rot_x(psi), parasitic triple u and
+    closure status."""
     values = np.full((len(rx), len(RECORD) + len(offsets)), np.nan)
     values[:, len(RECORD) :] = 0.0
     status = np.empty((len(rx), 1 + len(offsets)), dtype=np.int8)
-    u, status[:, 0] = _solve_closure(params, ry, rx)
-    closed = status[:, 0] == OK
+    status[:, 0] = closure
+    closed = closure == OK
     values[closed, :3] = u[closed]
     if not offsets:
         return values, status
@@ -256,6 +261,21 @@ def _evaluate_cells(
     return values, status
 
 
+# (key, table) of the last grid evaluated: the next call on the same grid
+# takes its closure from the table (see evaluate_grid)
+_last_table: tuple[tuple[bytes, ...], CellTable] | None = None
+
+
+def _kept_closure(table: CellTable, cells: slice) -> tuple[np.ndarray, np.ndarray]:
+    """The parasitic triples (N, 3) and closure status (N,) of a slice of a
+    table's row-major cells.  The table holds a triple only where the closure
+    solved; zeros stand in elsewhere, as a failed cell's record and status
+    do not depend on its triple."""
+    closure = table.status.reshape(-1, table.status.shape[-1])[cells, 0]
+    u = table.values.reshape(-1, table.values.shape[-1])[cells, :3]
+    return np.where((closure == OK)[:, None], u, 0.0), closure
+
+
 def evaluate_grid(
     params: MechanismParams,
     psi_axis: np.ndarray,
@@ -266,34 +286,47 @@ def evaluate_grid(
 ) -> CellTable:
     """Run the cell chain over a tilt grid in blocks of whole psi rows.
 
-    The closure is solved once per cell; IK and the Jacobian run at heave
-    z0 + dz for each offset, z0 the home height by default, and kappa and
-    the stiffness diagonal come from the first (offsets=() solves only the
-    closure).  inside_k is 1 where the chain succeeded at offset k, the
-    strokes are within their limits and 1/kappa >= kappa_min_inv.  Both
-    axes must be one-dimensional, non-empty, finite and strictly
-    increasing.  The table's arrays, axis copies included, are read-only.
+    The closure is solved once per cell, or taken from the table of the
+    previous call if that ran on the same grid and platform; IK and the
+    Jacobian run at heave z0 + dz for each offset, z0 the home height by
+    default, and kappa and the stiffness diagonal come from the first
+    (offsets=() solves only the closure).  inside_k is 1 where the chain
+    succeeded at offset k, the strokes are within their limits and
+    1/kappa >= kappa_min_inv.  Both axes must be one-dimensional,
+    non-empty, finite and strictly increasing.  The table's arrays, axis
+    copies included, are read-only.
     """
+    global _last_table
     psi_axis = np.array(psi_axis, dtype=float)
     theta_axis = np.array(theta_axis, dtype=float)
     check_axes(psi_axis, theta_axis)
     parasitic._check_tilt_bounds(np.abs(psi_axis).max(), np.abs(theta_axis).max())
     if z0 is None:
         z0 = home_height(params)
+    # the closure reads nothing of a machine but its platform attachments and
+    # limb azimuths, so both heads, every heave and every map of one geometry
+    # share it.  The key holds the bits of exactly those inputs and of the
+    # axes, so that a signed zero or one ulp apart solves anew.
+    layout = params.layout
+    key = tuple(a.tobytes() for a in (layout.body, layout.cos, layout.sin, psi_axis, theta_axis))
+    last = _last_table  # one read: a concurrent caller at worst solves again
+    kept = last[1] if last is not None and last[0] == key else None
+    if kept is None:
+        _last_table = None  # let the old table go before this grid runs
     rows = max(1, BLOCK_CELLS // theta_axis.size)
     # each tilt rotation depends on one axis value: build it once per value
     rx_axis, ry_axis = _rotations(psi_axis, 0), _rotations(theta_axis, 1)
     values, status = [], []
     for start in range(0, psi_axis.size, rows):
         rx_rows = rx_axis[start : start + rows]
-        block = _evaluate_cells(
-            params,
-            np.tile(ry_axis, (len(rx_rows), 1, 1)),
-            np.repeat(rx_rows, theta_axis.size, axis=0),
-            z0,
-            offsets,
-            kappa_min_inv,
-        )
+        ry = np.tile(ry_axis, (len(rx_rows), 1, 1))
+        rx = np.repeat(rx_rows, theta_axis.size, axis=0)
+        if kept is None:
+            u, closure = _solve_closure(params, ry, rx)
+        else:
+            first = start * theta_axis.size
+            u, closure = _kept_closure(kept, slice(first, first + len(rx)))
+        block = _evaluate_cells(params, ry, rx, u, closure, z0, offsets, kappa_min_inv)
         values.append(block[0])
         status.append(block[1])
     shape = (psi_axis.size, theta_axis.size, -1)
@@ -302,4 +335,6 @@ def evaluate_grid(
     for a in (psi_axis, theta_axis, values, status):
         # read-only, so that the SweepGrid columns share them without a copy
         a.setflags(write=False)
-    return CellTable(psi_axis, theta_axis, values, status)
+    table = CellTable(psi_axis, theta_axis, values, status)
+    _last_table = key, table
+    return table

@@ -32,9 +32,25 @@ _UNITS_NOTE = (
 
 
 def _area(grid: SweepGrid) -> float:
+    """Inside cells times the size of the first cell: the axes must be evenly spaced."""
     psi, theta = grid.psi_axis, grid.theta_axis
     cell = float(psi[1] - psi[0]) * float(theta[1] - theta[0])
     return float(grid.values.sum()) * cell
+
+
+def _check_area_axes(*axes) -> None:
+    """Raise ValueError unless each axis has two or more points and every
+    spacing is within 1e-9 of the first spacing, as _area assumes.
+
+    The rest of the axis checks (one-dimensional, finite, increasing) are
+    evaluate_grid's."""
+    for axis in axes:
+        axis = np.asarray(axis, dtype=float)
+        if axis.ndim != 1 or axis.size < 2:
+            raise ValueError("the workspace area needs one-dimensional axes of at least 2 points")
+        steps = np.diff(axis)
+        if np.any(np.abs(steps - steps[0]) > 1e-9 * np.abs(steps[0])):
+            raise ValueError("the workspace area needs evenly spaced axes")
 
 
 def condition_map(
@@ -58,8 +74,10 @@ def workspace_slice(
 
     A cell is inside when the closure solves, the strokes stay within their
     limits and the conditioning clears 1/kappa >= kappa_min_inv.  The area
-    is cell count times cell size, in rad^2.
+    is cell count times cell size, in rad^2, so both axes must be evenly
+    spaced with at least 2 points.
     """
+    _check_area_axes(psi_axis, theta_axis)
     grid = evaluate_grid(params, psi_axis, theta_axis, z, kappa_min_inv=kappa_min_inv)["inside_0"]
     return grid, _area(grid)
 

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from pkm import Variant, default_params, home_height
+from pkm import Variant, default_params, home_height, kernel
 from pkm.parasitic import solve_loop_closure
 
 SEED = 20260819
+
+
+@pytest.fixture(autouse=True)
+def cold_closure_memo():
+    """Every test starts with no grid closure kept, whatever ran before it."""
+    kernel._last_table = None
 
 
 @pytest.fixture
@@ -32,3 +38,20 @@ def random_compatible_pose(params, rng, max_tilt_deg=40.0, dz_range=(-100.0, 50.
     psi, theta = np.radians(rng.uniform(-max_tilt_deg, max_tilt_deg, size=2))
     z = home_height(params) + rng.uniform(*dz_range)
     return solve_loop_closure(params, psi, theta, z)
+
+
+def map_sweep_commands(out_dir):
+    """CLI argument lists of the twelve single-machine map commands of the
+    21^2, +/-48 deg grid, by output subdirectory of out_dir: per head the
+    three maps and the workspace at three heaves."""
+    maps = ("parasitic-map", "condition-map", "stiffness-map")
+    grid = ["--grid", "21", "--tilt-max-deg", "48.0"]
+    calls = {}
+    for machine in ("z3", "a3"):
+        z0 = home_height(default_params(Variant(machine)))
+        commands = {f"{machine}_{name}": [name] for name in maps}
+        for dz in (0.0, -50.0, -100.0):
+            commands[f"{machine}_workspace_dz{dz:g}"] = ["workspace", "--z", repr(z0 + dz)]
+        for key, command in commands.items():
+            calls[key] = [*command, "--machine", machine, *grid, "--out", str(out_dir / key)]
+    return calls

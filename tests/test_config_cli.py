@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pkm
-from pkm import kernel, sweep
+from pkm import cli, kernel, sweep
 from pkm.cli import build_parser, main
 from pkm.config import (
     SweepSettings,
@@ -20,6 +20,19 @@ from pkm.config import (
 from pkm.errors import ConfigError
 from pkm.geometry import Variant, default_params, home_height
 from pkm.grids import read_map_csv
+
+from conftest import map_sweep_commands
+
+SUBCOMMANDS = (
+    "ik",
+    "jacobian",
+    "parasitic-map",
+    "condition-map",
+    "workspace",
+    "stiffness-map",
+    "compare",
+    "config-template",
+)
 
 
 def test_parse_skips_comments_and_blanks():
@@ -83,6 +96,19 @@ def test_sweep_settings_bounds():
     for z_mm in (math.nan, math.inf, -math.inf):
         with pytest.raises(ConfigError, match="z_mm must be finite"):
             SweepSettings(z_mm=z_mm)
+
+
+@pytest.mark.parametrize("grid_n", [45.0, 2.5, "45", None, [45]], ids=repr)
+def test_sweep_settings_reject_non_integer_grid(grid_n):
+    with pytest.raises(ConfigError, match="grid_n must be an integer"):
+        SweepSettings(grid_n=grid_n)
+
+
+def test_sweep_settings_take_numpy_integers():
+    assert SweepSettings(grid_n=np.int64(9)) == SweepSettings(grid_n=9)
+    assert SweepSettings(grid_n=np.uint8(2)).grid_n == 2
+    with pytest.raises(ConfigError, match="at least 2"):
+        SweepSettings(grid_n=np.int32(1))
 
 
 def test_default_config_template_round_trips():
@@ -338,3 +364,85 @@ def test_compare_as_a_user_runs_it_warns_nothing(tmp_path):
     assert run.returncode == 0, run.stderr
     assert run.stderr == ""
     assert (out / "report.txt").exists() and len(list(out.iterdir())) == 41
+
+
+def tree_bytes(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_reused_parser_repeats_the_map_commands(tmp_path, capsys):
+    # main builds its parser on the first call and reuses it: a second pass
+    # over the twelve map commands writes the same bytes and prints the same
+    # text, but for the output paths
+    cli._parser.cache_clear()
+    consoles = []
+    for tree in ("first", "second"):
+        console = []
+        for argv in map_sweep_commands(tmp_path / tree).values():
+            assert main(argv) == 0
+            console.append(capsys.readouterr().out.replace(str(tmp_path / tree), "<out>"))
+        consoles.append(console)
+    assert cli._parser.cache_info().misses == 1
+    assert consoles[0] == consoles[1]
+    first, second = tree_bytes(tmp_path / "first"), tree_bytes(tmp_path / "second")
+    # per head: parasitic 1 + 3, condition 1 + 1, stiffness 1 + 6, workspace 3 x 2
+    assert len(first) == 2 * (4 + 2 + 7 + 6)
+    assert first == second
+
+
+def test_failed_parse_leaves_the_parser_as_it_was(tmp_path, capsys):
+    argvs = (
+        ["ik", "--machine", "a3", "--psi-deg", "12"],
+        ["workspace", "--machine", "z3", "--grid", "7", "--out", str(tmp_path)],
+        ["compare", "--z", "500", "--kappa-min-inv", "0.1", "--out", str(tmp_path)],
+    )
+    fresh = [build_parser().parse_args(argv) for argv in argvs]
+    for bad in (
+        ["ik", "--machine", "orbit"],
+        ["workspace", "--machine", "z3", "--grid", "seven", "--out", str(tmp_path)],
+        ["parasitic-map", "--machine", "z3"],
+        ["compare", "--machine", "z3", "--out", str(tmp_path)],
+        ["no-such-command"],
+        [],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(bad)
+        assert excinfo.value.code == 2
+        assert [cli._parser().parse_args(argv) for argv in argvs] == fresh
+    assert main(["ik", "--machine", "z3"]) == 0
+    capsys.readouterr()
+
+
+def test_help_lists_every_subcommand(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        text = capsys.readouterr().out
+        for name in SUBCOMMANDS:
+            assert name in text
+    assert set(cli._COMMANDS) == set(SUBCOMMANDS)
+
+
+def test_build_parser_is_fresh_and_apart_from_main(capsys):
+    parser = build_parser()
+    assert parser is not build_parser()
+    parser.add_argument("--extra", action="store_true")
+    parser.set_defaults(command="ik")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--extra", "config-template"])
+    assert excinfo.value.code == 2
+    assert main(["config-template"]) == 0
+    assert capsys.readouterr().out == default_config_text()
+
+
+def test_cli_import_builds_no_parser():
+    env = dict(os.environ)
+    src = str(Path(pkm.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = "import pkm.cli; print(pkm.cli._parser.cache_info().currsize)"
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "0\n"

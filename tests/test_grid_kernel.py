@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pkm import jacobian, kernel, parasitic, stiffness
+from pkm import cli, jacobian, kernel, parasitic, stiffness
 from pkm.errors import CELL_ERRORS, CellStatus
 from pkm.geometry import (
     MechanismParams,
@@ -27,6 +27,7 @@ from pkm.kinematics import LimbState, inverse_kinematics
 from pkm.parasitic import solve_loop_closure
 from pkm.stiffness import STIFFNESS_FIELDS, assemble_stiffness
 
+from conftest import map_sweep_commands
 from oracles import (
     assert_wrench_columns_close,
     ik_a3_reference,
@@ -102,80 +103,83 @@ def test_kernel_matches_scalar_chain_on_stock_grid(variant):
     assert np.all(table.status == CellStatus.OK)
 
 
+# (params, grid_n, tilt_max_deg, z0 or None for home, the failures expected)
+EDGE_GRIDS = [
+    (MechanismParams(Variant.Z3_PRS, link_length=105.0), 5, 30.0, None, {"UNREACHABLE"}),
+    (default_params(Variant.Z3_PRS), 9, 60.0, None, set()),
+    (default_params(Variant.A3_RPS), 9, 60.0, None, set()),
+    (MechanismParams(Variant.Z3_PRS, stroke_min=-40.0, stroke_max=40.0), 9, 40.0, None, set()),
+    # the constraint springs depend on the spherical joints' orientation
+    (
+        MechanismParams(Variant.A3_RPS, stiffness=StiffnessCoeffs(k_sx=2.0e6, k_sz=5.0e5)),
+        9,
+        40.0,
+        None,
+        set(),
+    ),
+    # two limbs on one azimuth: C1 singular off home, wrenches of rank 2
+    (
+        MechanismParams(Variant.Z3_PRS, azimuths=(0.0, 0.0, 0.5 * math.pi)),
+        5,
+        30.0,
+        None,
+        {"NO_CONVERGENCE", "RANK_DEFICIENCY"},
+    ),
+    # limbs 0.01 rad apart: damped Newton steps, some cells never converge
+    (
+        MechanismParams(Variant.Z3_PRS, azimuths=(0.0, 0.01, 0.02)),
+        5,
+        30.0,
+        None,
+        {"NO_CONVERGENCE"},
+    ),
+    # platform in the base plane: flat struts, whose actuation map vanishes
+    # at home, and with equal radii zero-length struts there
+    (default_params(Variant.A3_RPS), 5, 10.0, 0.0, {"SINGULAR_CONFIGURATION"}),
+    (
+        MechanismParams(Variant.A3_RPS, r_base=250.0),
+        5,
+        10.0,
+        0.0,
+        {"UNREACHABLE", "SINGULAR_CONFIGURATION"},
+    ),
+    # links just longer than r_base - r_platform: the rail head closes
+    # only near home, the struts stretch to reach every cell
+    (MechanismParams(Variant.Z3_PRS, link_length=100.001), 5, 30.0, None, {"UNREACHABLE"}),
+    (MechanismParams(Variant.A3_RPS, link_length=100.001), 5, 30.0, None, set()),
+    # a needle 1e11 times longer than its radii: the revolute axes span two
+    # force directions, so the unscaled Gc's third singular value is that
+    # of its 1e-11 moments, and only the unscaled rank check fails it
+    *(
+        (
+            MechanismParams(v, r_base=1.4e-11, r_platform=1e-11, link_length=1.0),
+            5,
+            30.0,
+            None,
+            {"RANK_DEFICIENCY"},
+        )
+        for v in Variant
+    ),
+]
+EDGE_GRID_IDS = [
+    "short-link",
+    "z3-60deg",
+    "a3-60deg",
+    "stroke-cut",
+    "spherical-stiffness",
+    "twin-limbs",
+    "clustered-limbs",
+    "flat-struts",
+    "coincident-hinge",
+    "z3-near-short-link",
+    "a3-near-short-link",
+    "z3-needle",
+    "a3-needle",
+]
+
+
 @pytest.mark.parametrize(
-    "params, grid_n, tilt_max_deg, z0, expected",
-    [
-        (MechanismParams(Variant.Z3_PRS, link_length=105.0), 5, 30.0, None, {"UNREACHABLE"}),
-        (default_params(Variant.Z3_PRS), 9, 60.0, None, set()),
-        (default_params(Variant.A3_RPS), 9, 60.0, None, set()),
-        (MechanismParams(Variant.Z3_PRS, stroke_min=-40.0, stroke_max=40.0), 9, 40.0, None, set()),
-        # the constraint springs depend on the spherical joints' orientation
-        (
-            MechanismParams(Variant.A3_RPS, stiffness=StiffnessCoeffs(k_sx=2.0e6, k_sz=5.0e5)),
-            9,
-            40.0,
-            None,
-            set(),
-        ),
-        # two limbs on one azimuth: C1 singular off home, wrenches of rank 2
-        (
-            MechanismParams(Variant.Z3_PRS, azimuths=(0.0, 0.0, 0.5 * math.pi)),
-            5,
-            30.0,
-            None,
-            {"NO_CONVERGENCE", "RANK_DEFICIENCY"},
-        ),
-        # limbs 0.01 rad apart: damped Newton steps, some cells never converge
-        (
-            MechanismParams(Variant.Z3_PRS, azimuths=(0.0, 0.01, 0.02)),
-            5,
-            30.0,
-            None,
-            {"NO_CONVERGENCE"},
-        ),
-        # platform in the base plane: flat struts, whose actuation map vanishes
-        # at home, and with equal radii zero-length struts there
-        (default_params(Variant.A3_RPS), 5, 10.0, 0.0, {"SINGULAR_CONFIGURATION"}),
-        (
-            MechanismParams(Variant.A3_RPS, r_base=250.0),
-            5,
-            10.0,
-            0.0,
-            {"UNREACHABLE", "SINGULAR_CONFIGURATION"},
-        ),
-        # links just longer than r_base - r_platform: the rail head closes
-        # only near home, the struts stretch to reach every cell
-        (MechanismParams(Variant.Z3_PRS, link_length=100.001), 5, 30.0, None, {"UNREACHABLE"}),
-        (MechanismParams(Variant.A3_RPS, link_length=100.001), 5, 30.0, None, set()),
-        # a needle 1e11 times longer than its radii: the revolute axes span two
-        # force directions, so the unscaled Gc's third singular value is that
-        # of its 1e-11 moments, and only the unscaled rank check fails it
-        *(
-            (
-                MechanismParams(v, r_base=1.4e-11, r_platform=1e-11, link_length=1.0),
-                5,
-                30.0,
-                None,
-                {"RANK_DEFICIENCY"},
-            )
-            for v in Variant
-        ),
-    ],
-    ids=[
-        "short-link",
-        "z3-60deg",
-        "a3-60deg",
-        "stroke-cut",
-        "spherical-stiffness",
-        "twin-limbs",
-        "clustered-limbs",
-        "flat-struts",
-        "coincident-hinge",
-        "z3-near-short-link",
-        "a3-near-short-link",
-        "z3-needle",
-        "a3-needle",
-    ],
+    "params, grid_n, tilt_max_deg, z0, expected", EDGE_GRIDS, ids=EDGE_GRID_IDS
 )
 def test_kernel_matches_scalar_chain_on_edge_grids(params, grid_n, tilt_max_deg, z0, expected):
     z0 = home_height(params) if z0 is None else z0
@@ -186,6 +190,133 @@ def test_kernel_matches_scalar_chain_on_edge_grids(params, grid_n, tilt_max_deg,
     inside = table.values[..., N_RECORD:]
     if params.stroke_max is not None:
         assert 0.0 < inside.sum() < inside.size
+
+
+def closure_solves(monkeypatch) -> list:
+    """The number of cells of each kernel._solve_closure call from now on."""
+    calls = []
+    solve = kernel._solve_closure
+
+    def counted(params, ry, rx):
+        calls.append(len(rx))
+        return solve(params, ry, rx)
+
+    monkeypatch.setattr(kernel, "_solve_closure", counted)
+    return calls
+
+
+def assert_same_table(got, want):
+    """Values and status equal bit for bit, NaN payloads and signed zeros included."""
+    for a, b in ((got.values, want.values), (got.status, want.status)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def other_head(params):
+    """The same geometry on the other head."""
+    other = Variant.A3_RPS if params.variant is Variant.Z3_PRS else Variant.Z3_PRS
+    return replace(params, variant=other)
+
+
+@pytest.mark.parametrize(
+    "params, grid_n, tilt_max_deg, z0",
+    [
+        (default_params(Variant.Z3_PRS), 41, 40.0, None),
+        (default_params(Variant.A3_RPS), 41, 40.0, None),
+        *(grid[:4] for grid in EDGE_GRIDS),
+    ],
+    ids=["z3-stock", "a3-stock", *EDGE_GRID_IDS],
+)
+def test_warm_closure_memo_keeps_every_bit(monkeypatch, params, grid_n, tilt_max_deg, z0):
+    # the memo starts cold (conftest); a warm table, whether the same call or
+    # the other head's closure-only map at another heave warmed it, is the
+    # cold one bit for bit, cells whose closure failed included
+    axes = tilt_axes(grid_n, tilt_max_deg)
+    z0 = home_height(params) if z0 is None else z0
+    solves = closure_solves(monkeypatch)
+    cold = kernel.evaluate_grid(params, *axes, z0, OFFSETS)
+    assert sum(solves) == grid_n**2
+    assert_same_table(kernel.evaluate_grid(params, *axes, z0, OFFSETS), cold)
+    assert sum(solves) == grid_n**2
+    kernel._last_table = None
+    kernel.evaluate_grid(other_head(params), *axes, z0 + OFFSETS[1], ())
+    assert_same_table(kernel.evaluate_grid(params, *axes, z0, OFFSETS), cold)
+    assert sum(solves) == 2 * grid_n**2
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"r_platform": math.nextafter(250.0, math.inf)},
+        {"azimuths": (-0.0, *default_params(Variant.Z3_PRS).azimuths[1:])},
+    ],
+    ids=["r_platform-ulp", "signed-zero-azimuth"],
+)
+def test_closure_memo_keys_on_bits(monkeypatch, changes):
+    # an azimuth of -0.0 makes an equal MechanismParams, but its sin is -0.0
+    params = default_params(Variant.Z3_PRS)
+    twins = (params, replace(params, **changes))
+    axes = tilt_axes(9, 40.0)
+    cold = []
+    for machine in twins:
+        kernel._last_table = None
+        cold.append(kernel.evaluate_grid(machine, *axes, None, OFFSETS))
+    kernel._last_table = None
+    solves = closure_solves(monkeypatch)
+    # each twin solves anew after the other, then repeats from the memo
+    for machine, want in zip(twins * 2, cold * 2):
+        assert_same_table(kernel.evaluate_grid(machine, *axes, None, OFFSETS), want)
+        assert_same_table(kernel.evaluate_grid(machine, *axes, None, OFFSETS), want)
+    assert sum(solves) == 4 * 81
+
+
+def test_closure_memo_keys_on_both_axes(monkeypatch):
+    # non-square grids, each differing from the one before in one axis only
+    params = default_params(Variant.A3_RPS)
+    (psi, _), (theta, _) = tilt_axes(5, 30.0), tilt_axes(7, 30.0)
+    psi20, theta20 = tilt_axes(5, 20.0)[0], tilt_axes(7, 20.0)[0]
+    grids = [(psi, theta), (psi20, theta), (psi20, theta20)]
+    cold = []
+    for axes in grids:
+        kernel._last_table = None
+        cold.append(kernel.evaluate_grid(params, *axes, None, OFFSETS))
+    kernel._last_table = None
+    solves = closure_solves(monkeypatch)
+    for axes, want in zip(grids, cold):
+        assert_same_table(kernel.evaluate_grid(params, *axes, None, OFFSETS), want)
+    assert solves == [35, 35, 35]
+
+
+def test_map_commands_solve_one_closure(monkeypatch, tmp_path, capsys):
+    # both heads, every map and every heave of one grid share one memo entry
+    solves = closure_solves(monkeypatch)
+    commands = map_sweep_commands(tmp_path)
+    assert len(commands) == 12
+    for argv in commands.values():
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert sum(solves) == 21 * 21
+
+
+def test_closure_memo_is_read_only_and_holds_one_grid(monkeypatch):
+    params = default_params(Variant.A3_RPS)
+    grids = [tilt_axes(n, 30.0) for n in (2, 3, 4)]
+    tables = [kernel.evaluate_grid(params, *axes, None, ()) for axes in grids]
+    # only the last table is kept, and nothing of it can be written
+    assert kernel._last_table[1] is tables[-1]
+    for a in (tables[-1].values, tables[-1].status):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0
+    # the last grid repeats without a solve and the repeat's table is kept,
+    # so the older one can go; an earlier grid solves anew
+    solves = closure_solves(monkeypatch)
+    again = kernel.evaluate_grid(params, *grids[2], None, ())
+    assert solves == []
+    assert kernel._last_table[1] is again
+    kernel.evaluate_grid(params, *grids[0], None, ())
+    assert solves == [4]
+    assert kernel._last_table[1].values.shape[:2] == (2, 2)
 
 
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)

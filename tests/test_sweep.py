@@ -66,6 +66,36 @@ def test_workspace_area_counts_cells(params):
     assert grid.mask.all()
 
 
+@pytest.mark.parametrize(
+    "psi_axis, theta_axis, message",
+    [
+        ([0.0], [-0.1, 0.0, 0.1], "at least 2 points"),
+        ([-0.1, 0.0, 0.1], [0.2], "at least 2 points"),
+        ([-0.3, 0.0, 0.01], [-0.1, 0.0, 0.1], "evenly spaced"),
+        ([-0.1, 0.0, 0.1], [-0.1, 0.0, 0.1 * (1 + 3e-9)], "evenly spaced"),
+    ],
+    ids=["1-point-psi", "1-point-theta", "uneven-psi", "uneven-theta"],
+)
+def test_workspace_area_needs_even_axes(monkeypatch, z3_params, psi_axis, theta_axis, message):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the grid ran before its axes were checked")
+
+    monkeypatch.setattr(sweep, "evaluate_grid", no_sweep)
+    with pytest.raises(ValueError, match=message):
+        workspace_slice(z3_params, psi_axis, theta_axis)
+
+
+def test_workspace_area_keeps_rounded_spacing(z3_params):
+    # spacings within 1e-9 of the first pass, and the area uses the first cell
+    psi_axis = np.array([-0.1, 0.0, 0.1 * (1 + 1e-10)])
+    grid, area = workspace_slice(z3_params, psi_axis, psi_axis)
+    assert area == float(grid.values.sum()) * (0.1 * 0.1)
+    # no tilt_axes grid is rejected for its rounding
+    for n in (*range(2, 402), 1001, 10001):
+        for max_deg in (1e-3, 40.0, 60.0):
+            sweep._check_area_axes(*tilt_axes(n, max_deg))
+
+
 def test_workspace_threshold_monotonicity(params):
     psi_axis, theta_axis = tilt_axes(7, 45.0)
     _, permissive = workspace_slice(params, psi_axis, theta_axis, kappa_min_inv=1e-6)
