@@ -8,11 +8,10 @@ re-emits byte-identically.
 """
 from __future__ import annotations
 
-import contextlib
 import csv
-import io
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,26 +72,22 @@ class SweepGrid:
 
 
 def tilt_axes(n: int, max_deg: float) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric n-point tilt axes in radians over [-max_deg, max_deg]."""
+    """Symmetric n-point tilt axes in radians over [-max_deg, max_deg]; ValueError
+    unless n is an integer of at least 2 and max_deg is finite and positive."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"grid points per axis must be an integer, got {n!r}") from None
     if n < 2:
         raise ValueError("grid needs at least 2 points per axis")
+    if not (max_deg > 0.0 and math.isfinite(max_deg)):
+        raise ValueError(f"tilt range must be finite and positive, got {max_deg!r}")
     axis = np.radians(np.linspace(-max_deg, max_deg, n))
     return axis, axis.copy()
 
 
 def write_map_csv(path, fields: dict[str, SweepGrid], units_note: str | None = None) -> None:
     """Emit named grid fields side by side, one row per (psi, theta) cell."""
-    _write_map_csvs(fields, ((path, units_note),))
-
-
-def _write_map_csvs(fields: dict[str, SweepGrid], targets) -> None:
-    """write_map_csv of one set of fields to each (path, units_note) of targets.
-
-    The rows are formatted once and streamed to every file, one write per
-    psi row and file.  "%.12g" formats a float as f"{v:.12g}" does, and one
-    %-format per column and psi row is much cheaper than one f-string per
-    cell; non-finite cells are then blanked.
-    """
     grids = list(fields.values())
     if not grids:
         raise ValueError("no fields to write")
@@ -103,26 +98,21 @@ def _write_map_csvs(fields: dict[str, SweepGrid], targets) -> None:
             and np.array_equal(grid.theta_axis, first.theta_axis)
         ):
             raise ValueError("all fields must share the same axes")
-    header = io.StringIO()
-    # the writer quotes field names as needed; numbers and empty fields need no quotes
-    csv.writer(header, lineterminator="\n").writerow(["psi_deg", "theta_deg", *fields.keys()])
     psi_labels = [fmt12(math.degrees(psi)) for psi in first.psi_axis.tolist()]
     theta_labels = [fmt12(math.degrees(theta)) for theta in first.theta_axis.tolist()]
+    # "%.12g" formats a float as f"{v:.12g}" does, and one %-format per column
+    # and psi row is much cheaper than one f-string per cell
     template = "%.12g," * len(theta_labels)
     # theta indices of the non-finite cells, per field and psi row
     missing = [[[] for _ in psi_labels] for _ in grids]
     for gaps, grid in zip(missing, grids):
         for i, j in np.argwhere(~grid.mask).tolist():
             gaps[i].append(j)
-    with contextlib.ExitStack() as stack:
-        files = [
-            stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
-            for path, _ in targets
-        ]
-        for fh, (_, units_note) in zip(files, targets):
-            if units_note:
-                fh.write(f"# {units_note}\n")
-            fh.write(header.getvalue())
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if units_note:
+            fh.write(f"# {units_note}\n")
+        # the writer quotes field names as needed; numbers and empty fields need no quotes
+        csv.writer(fh, lineterminator="\n").writerow(["psi_deg", "theta_deg", *fields.keys()])
         for i, psi in enumerate(psi_labels):
             columns = [itertools.repeat(psi), theta_labels]
             for grid, gaps in zip(grids, missing):
@@ -131,9 +121,7 @@ def _write_map_csvs(fields: dict[str, SweepGrid], targets) -> None:
                     cells[j] = ""
                 columns.append(cells)
             # zip drops the empty string that the split leaves after the last cell
-            text = "\n".join(map(",".join, zip(*columns))) + "\n"
-            for fh in files:
-                fh.write(text)
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def read_map_csv(path) -> tuple[list[str], list[list[float | None]]]:

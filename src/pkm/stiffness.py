@@ -178,14 +178,9 @@ def stiffness_map_parasitic(
     """
     if rotational is None:
         rotational = stiffness_map_rotational(params, psi_axis, theta_axis, z)
-    x_grid = rotational["x_par_mm"]
-    y_grid = rotational["y_par_mm"]
-    solved = rotational[STIFFNESS_FIELDS[0]].mask
-    samples = []
-    for i in range(len(x_grid.psi_axis)):
-        for j in range(len(x_grid.theta_axis)):
-            if not solved[i, j]:
-                continue
-            values = {name: float(rotational[name].values[i, j]) for name in STIFFNESS_FIELDS}
-            samples.append((float(x_grid.values[i, j]), float(y_grid.values[i, j]), values))
-    return samples
+    solved = np.flatnonzero(rotational[STIFFNESS_FIELDS[0]].mask)
+    xs, ys, *columns = (
+        rotational[name].values.ravel()[solved].tolist()
+        for name in ("x_par_mm", "y_par_mm", *STIFFNESS_FIELDS)
+    )
+    return [(x, y, dict(zip(STIFFNESS_FIELDS, cell))) for x, y, *cell in zip(xs, ys, *columns)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 from .config import SweepSettings
 from .errors import ConfigError
 from .geometry import MechanismParams, home_height
-from .grids import SweepGrid, _write_map_csvs, fmt12, tilt_axes, write_map_csv
+from .grids import SweepGrid, fmt12, tilt_axes, write_map_csv
 from .kernel import RECORD, CellTable, evaluate_grid
 from .stiffness import STIFFNESS_FIELDS, _stiffness_table
 from .svg import emit_heatmap_svg
@@ -122,10 +123,6 @@ def write_workspace_figures(
 def write_stiffness_figures(out_dir: Path, label: str, table, units_note=_UNITS_NOTE) -> None:
     """{label}_stiffness_rotational.csv of a stiffness table and one SVG per measure."""
     write_map_csv(out_dir / f"{label}_stiffness_rotational.csv", table, units_note=units_note)
-    _write_stiffness_svgs(out_dir, label, table)
-
-
-def _write_stiffness_svgs(out_dir: Path, label: str, table) -> None:
     for name in STIFFNESS_FIELDS:
         emit_heatmap_svg(
             table[name],
@@ -299,66 +296,57 @@ def run_comparison(settings: CompareSettings) -> ComparisonReport:
     a3 = settings.params_a3
     z0 = sweep.z_mm if sweep.z_mm is not None else home_height(z3)
     psi_axis, theta_axis = tilt_axes(sweep.grid_n, sweep.tilt_max_deg)
-    grid = (psi_axis, theta_axis, z0, settings.heave_offsets, sweep.kappa_min_inv)
+    offsets = settings.heave_offsets
+    grid = (psi_axis, theta_axis, z0, offsets, sweep.kappa_min_inv)
 
     tables: dict = {}
-    metrics: dict = {}
-    areas: dict = {}
     with _grid_in_child(a3, *grid) as collect_a3:
         tables["z3"] = evaluate_grid(z3, *grid)
-        _write_machine(out_dir, "z3", tables["z3"], settings.heave_offsets, metrics, areas)
+        _write_machine(out_dir, "z3", tables["z3"], offsets)
         tables["a3"] = collect_a3(tables["z3"])
-    _write_machine(out_dir, "a3", tables["a3"], settings.heave_offsets, metrics, areas)
+    _write_machine(out_dir, "a3", tables["a3"], offsets)
 
-    flags = _verdict_flags(tables, areas)
+    areas: dict = {}
+    metrics: dict = {}
+    for label, table in tables.items():
+        areas[label] = {dz: _area(table[f"inside_{k}"]) for k, dz in enumerate(offsets)}
+        for dz, area in areas[label].items():
+            stats = dict.fromkeys(("min", "max", "mean"), area)
+            metrics.setdefault(f"workspace_area_dz{fmt12(dz)}", {})[label] = stats
+        for name in ("x_mm", "y_mm", "gamma_rad", "kappa", *STIFFNESS_FIELDS):
+            metrics.setdefault(name, {})[label] = _stats(table[name])
     report = ComparisonReport(
         grid_n=sweep.grid_n,
         tilt_max_deg=sweep.tilt_max_deg,
         z0=z0,
-        heave_offsets=settings.heave_offsets,
+        heave_offsets=offsets,
         metrics=metrics,
-        flags=flags,
+        flags=_verdict_flags(tables, areas),
     )
     with open(out_dir / "report.txt", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report.as_text())
     return report
 
 
-def _write_machine(out_dir, label, table, heave_offsets, metrics, areas) -> None:
-    """Write one machine's figures and add its metrics and workspace areas."""
+def _write_machine(out_dir, label, table, heave_offsets) -> None:
+    """Write one machine's figures."""
     write_parasitic_figures(out_dir, label, table)
     write_condition_figures(out_dir, label, table["kappa"])
     for k, dz in enumerate(heave_offsets):
-        grid = table[f"inside_{k}"]
         write_workspace_figures(
             out_dir,
             f"{label}_workspace_dz{fmt12(dz)}",
             f"{label} workspace at z0{fmt12(dz) if dz < 0 else '+' + fmt12(dz)}",
-            grid,
+            table[f"inside_{k}"],
         )
-        area = _area(grid)
-        areas.setdefault(label, []).append(area)
-        metrics.setdefault(f"workspace_area_dz{fmt12(dz)}", {})[label] = {
-            "min": area,
-            "max": area,
-            "mean": area,
-        }
-    stiffness = _stiffness_table(table)
-    # write_stiffness_figures, whose CSV rows also make the _parasitic copy:
-    # formatting its 8 columns again cost a third of the bundle's CSV values
-    _write_map_csvs(
-        stiffness,
-        (
-            (out_dir / f"{label}_stiffness_rotational.csv", _UNITS_NOTE),
-            (
-                out_dir / f"{label}_stiffness_parasitic.csv",
-                _UNITS_NOTE + "; rows keyed by (x_par_mm, y_par_mm)",
-            ),
-        ),
-    )
-    _write_stiffness_svgs(out_dir, label, stiffness)
-    for name in ("x_mm", "y_mm", "gamma_rad", "kappa", *STIFFNESS_FIELDS):
-        metrics.setdefault(name, {})[label] = _stats(table[name])
+    write_stiffness_figures(out_dir, label, _stiffness_table(table))
+    # _parasitic.csv is the rotational CSV's rows under their own comment line,
+    # copied: formatting its 8 columns again would cost a third of the CSV values
+    stem = out_dir / f"{label}_stiffness"
+    with open(f"{stem}_rotational.csv", "rb") as src, open(f"{stem}_parasitic.csv", "wb") as dst:
+        src.readline()
+        dst.write(f"# {_UNITS_NOTE}; rows keyed by (x_par_mm, y_par_mm)\n".encode())
+        shutil.copyfileobj(src, dst)
 
 
 def _verdict_flags(tables, areas) -> dict:
@@ -380,13 +368,17 @@ def _verdict_flags(tables, areas) -> dict:
     else:
         condition_peak = "undetermined"
 
-    z3_areas = areas["z3"]
-    a3_areas = areas["a3"]
-    z3_invariant = bool(
-        z3_areas[0] > 0.0
-        and abs(z3_areas[-1] - z3_areas[0]) <= 0.01 * z3_areas[0]
-    )
-    a3_shrinks = bool(all(b < a for a, b in zip(a3_areas, a3_areas[1:])))
+    # areas from the highest offset down, whatever order the offsets were listed in
+    z3_areas = [area for _, area in sorted(areas["z3"].items(), reverse=True)]
+    a3_areas = [area for _, area in sorted(areas["a3"].items(), reverse=True)]
+    if len(z3_areas) < 2:
+        z3_invariant = a3_shrinks = "undetermined"
+    else:
+        z3_invariant = bool(
+            z3_areas[0] > 0.0
+            and abs(z3_areas[-1] - z3_areas[0]) <= 0.01 * z3_areas[0]
+        )
+        a3_shrinks = bool(all(b < a for a, b in zip(a3_areas, a3_areas[1:])))
 
     return {
         "parasitic_fields_identical": parasitic_identical,

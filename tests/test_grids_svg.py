@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pkm import svg
-from pkm import grids
 from pkm.grids import SweepGrid, fmt12, read_map_csv, tilt_axes, write_map_csv
 from pkm.svg import emit_heatmap_svg, palette_color
 
@@ -37,6 +36,16 @@ def test_tilt_axes_shape():
     assert np.array_equal(psi, theta)
     with pytest.raises(ValueError):
         tilt_axes(1, 40.0)
+
+
+@pytest.mark.parametrize(
+    "n, max_deg",
+    [(2.5, 40.0), (3, math.nan), (3, math.inf), (3, -10.0), (3, 0.0)],
+    ids=["fractional-n", "nan", "inf", "negative", "zero"],
+)
+def test_tilt_axes_reject_bad_inputs(n, max_deg):
+    with pytest.raises(ValueError):
+        tilt_axes(n, max_deg)
 
 
 def test_grid_validation():
@@ -240,16 +249,6 @@ def test_heatmap_file_matches_per_cell_writer(tmp_path, rng, case, palette):
     assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
 
 
-def test_csv_rows_formatted_once_for_several_files(tmp_path, rng):
-    cases = ("specials", "all-missing", "holes")
-    fields = {case: _edge_grid(case, rng) for case in cases}
-    targets = [(tmp_path / "one.csv", "units: one"), (tmp_path / "two.csv", None)]
-    grids._write_map_csvs(fields, targets)
-    for path, note in targets:
-        write_map_csv_reference(tmp_path / "ref.csv", fields, units_note=note)
-        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes(), path.name
-
-
 @pytest.mark.parametrize("case", EDGE_GRIDS)
 def test_csv_matches_scalar_reference(tmp_path, rng, case):
     grid = _edge_grid(case, rng)
@@ -257,9 +256,10 @@ def test_csv_matches_scalar_reference(tmp_path, rng, case):
     other[0, -1] = np.nan
     # a field name with a comma must come out quoted
     fields = {"alpha": grid, "b,eta": SweepGrid(grid.psi_axis, grid.theta_axis, other)}
-    write_map_csv(tmp_path / "new.csv", fields, units_note="units: test")
-    write_map_csv_reference(tmp_path / "ref.csv", fields, units_note="units: test")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    for note in ("units: test", None):
+        write_map_csv(tmp_path / "new.csv", fields, units_note=note)
+        write_map_csv_reference(tmp_path / "ref.csv", fields, units_note=note)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes(), note
 
 
 def _channels_before_rounding(stops, t):

@@ -269,15 +269,34 @@ def test_rotational_map_center_cell(params):
     assert fields["y_par_mm"].values[4, 1] == pytest.approx(cp.parasitic.y, abs=1e-12)
 
 
-def test_parasitic_keyed_samples_match_rotational(params):
-    psi_axis, theta_axis = tilt_axes(4, 25.0)
+@pytest.mark.parametrize(
+    "params, n, max_deg, empty",
+    [
+        (default_params(Variant.Z3_PRS), 4, 25.0, 0),
+        (default_params(Variant.A3_RPS), 4, 25.0, 0),
+        # a short link empties stiffness cells whose parasitic shift solved
+        (MechanismParams(variant=Variant.Z3_PRS, link_length=150.0), 9, 40.0, 46),
+    ],
+    ids=["z3", "a3", "z3-short-link"],
+)
+def test_parasitic_keyed_samples_match_rotational(params, n, max_deg, empty):
+    psi_axis, theta_axis = tilt_axes(n, max_deg)
     rotational = stiffness_map_rotational(params, psi_axis, theta_axis)
+    solved = rotational["kpx"].mask
+    assert rotational["x_par_mm"].mask.all() and int((~solved).sum()) == empty
     samples = stiffness_map_parasitic(params, psi_axis, theta_axis, rotational=rotational)
-    assert len(samples) == int(rotational["kpx"].mask.sum())
-    x0, y0, values = samples[0]
-    assert x0 == rotational["x_par_mm"].values[0, 0]
-    assert y0 == rotational["y_par_mm"].values[0, 0]
-    assert values["kaz"] == rotational["kaz"].values[0, 0]
+    # one triple per cell with stiffness values, in row-major order
+    expected = [
+        (
+            rotational["x_par_mm"].values[i, j],
+            rotational["y_par_mm"].values[i, j],
+            {name: rotational[name].values[i, j] for name in STIFFNESS_FIELDS},
+        )
+        for i, j in np.argwhere(solved).tolist()
+    ]
+    assert samples == expected
+    assert all(list(values) == list(STIFFNESS_FIELDS) for _, _, values in samples)
+    assert all(type(v) is float for x, y, values in samples for v in (x, y, *values.values()))
     # the parasitic footprint is millimetric even at 25 deg commands
     xs = np.array([s[0] for s in samples])
     ys = np.array([s[1] for s in samples])

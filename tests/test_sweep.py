@@ -137,13 +137,14 @@ def test_strut_workspace_shrinks_with_depth(a3_params):
     assert areas[0] > areas[1] > areas[2]
 
 
-def _run(tmp_path, name, workers=1):
+def _run(tmp_path, name, workers=1, sweep=SMALL, heave_offsets=DEFAULT_HEAVE_OFFSETS):
     out = tmp_path / name
     settings = CompareSettings(
         params_z3=default_params(Variant.Z3_PRS),
         params_a3=default_params(Variant.A3_RPS),
         out_dir=out,
-        sweep=SMALL,
+        sweep=sweep,
+        heave_offsets=heave_offsets,
         workers=workers,
     )
     return out, run_comparison(settings)
@@ -189,6 +190,51 @@ def test_comparison_flags_on_shared_constraints(tmp_path):
         assert key in text
     assert "kappa" in report.metrics
     assert set(report.metrics["kappa"]) == {"z3", "a3"}
+
+
+HEIGHT_FLAGS = ("workspace_z3_height_invariant", "workspace_a3_shrinks_with_height")
+
+
+def test_height_flags_do_not_depend_on_offset_order(tmp_path):
+    # the grid of test_strut_workspace_shrinks_with_depth, where a3's area shrinks
+    grid = SweepSettings(grid_n=15, tilt_max_deg=48.0)
+    _, listed = _run(tmp_path, "listed", sweep=grid)
+    _, reverse = _run(tmp_path, "reverse", sweep=grid, heave_offsets=DEFAULT_HEAVE_OFFSETS[::-1])
+    assert [listed.flags[name] for name in HEIGHT_FLAGS] == [True, True]
+    assert [reverse.flags[name] for name in HEIGHT_FLAGS] == [True, True]
+
+
+def test_height_flags_need_two_offsets(tmp_path):
+    out, report = _run(tmp_path, "one", heave_offsets=(0.0,))
+    text = (out / "report.txt").read_text(encoding="utf-8")
+    for name in HEIGHT_FLAGS:
+        assert report.flags[name] == "undetermined"
+        assert f"\n{name}: undetermined\n" in text
+
+
+def test_stiffness_parasitic_csv_is_the_rotational_rows_under_its_note(tmp_path):
+    out = tmp_path / "short"
+    run_comparison(
+        CompareSettings(
+            params_z3=MechanismParams(variant=Variant.Z3_PRS, link_length=150.0),
+            params_a3=MechanismParams(variant=Variant.A3_RPS, link_length=150.0),
+            out_dir=out,
+            sweep=SweepSettings(grid_n=9, tilt_max_deg=40.0),
+        )
+    )
+    # the short link leaves z3's stiffness cells partly empty
+    _, rows = read_map_csv(out / "z3_stiffness_rotational.csv")
+    assert any(None in row for row in rows)
+    note = (
+        b"# units: angles deg, lengths mm; kpx,kpy,kpz N/mm; kax,kay,kaz N*mm/rad; "
+        b"kappa dimensionless; rows keyed by (x_par_mm, y_par_mm)\n"
+    )
+    for label in ("z3", "a3"):
+        with open(out / f"{label}_stiffness_rotational.csv", "rb") as fh:
+            fh.readline()
+            rotational_rows = fh.read()
+        parasitic = (out / f"{label}_stiffness_parasitic.csv").read_bytes()
+        assert parasitic == note + rotational_rows
 
 
 def test_comparison_reruns_byte_identical(tmp_path):
