@@ -30,10 +30,9 @@ from .stiffness import STIFFNESS_FIELDS, _limb_rates
 
 # columns of a cell record, followed by one workspace flag per heave offset
 RECORD = ("x_mm", "y_mm", "gamma_rad", "kappa", *STIFFNESS_FIELDS)
-# cells per block: one block's stacks (G, its QR factors) stay within a few
-# hundred kB at any grid size.  Since the rank gate replaced most SVDs, larger
-# blocks run faster (2-vCPU Xeon, a3 at 45^2 and three offsets: 96 ms at 256
-# cells, 80 ms at 1024), but they raise the peak memory in step (676 to 2163 kB)
+# cells per block.  The peak memory is the table plus one block's stacks (G,
+# its QR factors); larger blocks run slightly faster but raise that peak in
+# step (a3 at 45^2, three offsets: 729 kB at 256 cells, 2403 kB at 1024)
 BLOCK_CELLS = 256
 
 OK = CellStatus.OK
@@ -61,24 +60,6 @@ class CellTable:
         offsets = self.values.shape[2] - len(RECORD)
         columns = {c: n for n, c in enumerate((*RECORD, *(f"inside_{k}" for k in range(offsets))))}
         return SweepGrid(self.psi_axis, self.theta_axis, self.values[:, :, columns[name]])
-
-
-@dataclass(frozen=True, eq=False)
-class LimbStack:
-    """inverse_kinematics of a stack of cells, indexed [cell, limb, ...]."""
-
-    attachment: np.ndarray  # platform centre to spherical joint, world frame
-    l1: np.ndarray
-    length: np.ndarray  # actuated lengths, (N, 3)
-    actuated: np.ndarray  # actuated joint axes
-
-    def take(self, cells: np.ndarray) -> LimbStack:
-        """The limbs of the given cells only, cells increasing as np.flatnonzero gives them."""
-        if len(cells) == len(self.l1):
-            return self  # every cell: a copy would only raise the peak memory
-        return LimbStack(
-            self.attachment[cells], self.l1[cells], self.length[cells], self.actuated[cells]
-        )
 
 
 def _rotations(angles: np.ndarray, axis: int) -> np.ndarray:
@@ -182,25 +163,27 @@ def _inverse_kinematics(
     u: np.ndarray,
     z: float,
     status: np.ndarray,
-) -> tuple[LimbStack, np.ndarray]:
-    """inverse_kinematics at heave z for every cell: the same stage and check order."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """inverse_kinematics at heave z for every cell: l1, actuated lengths and axes, status."""
     joint = attachment.copy()
     joint[..., 0] += u[:, 0, None]
     joint[..., 1] += u[:, 1, None]
     joint[..., 2] += z
     _, l1, length, actuated, checks = _solve_limbs(params, joint, CONSTRAINT_TOL)
-    status = _first_failure(status, checks)
-    limbs = LimbStack(attachment=attachment, l1=l1, length=length, actuated=actuated)
-    return limbs, status
+    return l1, length, actuated, _first_failure(status, checks)
 
 
 def _jacobian(
-    params: MechanismParams, limbs: LimbStack, status: np.ndarray
+    params: MechanismParams,
+    attachment: np.ndarray,
+    l1: np.ndarray,
+    actuated: np.ndarray,
+    status: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """build_jacobian's stage on every cell: G (N, 6, 6), kappa (N,), NaN
     where the status is not OK, and the updated status."""
     G, _, kappa, checks = jacobian._jacobian_stage(
-        params, limbs.attachment, limbs.l1, limbs.actuated, params.layout.tangent
+        params, attachment, l1, actuated, params.layout.tangent
     )
     status = _first_failure(status, checks)
     kappa[status != OK] = np.nan
@@ -218,62 +201,59 @@ def _evaluate_cells(
     rx: np.ndarray,
     u: np.ndarray,
     closure: np.ndarray,
-    z0: float,
-    offsets: tuple[float, ...],
+    heaves: list[float],
     kappa_min_inv: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Records (N, len(RECORD) + len(offsets)) and status codes of a stack of
-    cells, given each cell's rot_y(theta), rot_x(psi), parasitic triple u and
-    closure status."""
-    values = np.full((len(rx), len(RECORD) + len(offsets)), np.nan)
-    values[:, len(RECORD) :] = 0.0
-    status = np.empty((len(rx), 1 + len(offsets)), dtype=np.int8)
-    status[:, 0] = closure
+    values: np.ndarray,
+    status: np.ndarray,
+) -> None:
+    """Fill the records (N, len(RECORD) + len(heaves)) and status codes of a
+    stack of cells, given each cell's rot_y(theta), rot_x(psi), parasitic
+    triple u and closure status; IK and the Jacobian run at each heave."""
     closed = closure == OK
+    # a failed cell's record and status do not depend on its triple (NaN in a kept table)
+    u = np.where(closed[:, None], u, 0.0)
+    values[:, : len(RECORD)] = np.nan
     values[closed, :3] = u[closed]
-    if not offsets:
-        return values, status
+    status[:, 0] = closure
+    if not heaves:
+        return
     # the parasitic triple does not depend on heave: one closure serves every offset
     attachment = parasitic._attachments(params, _orientations(ry, rx, u[:, 2]))
     lo, hi = params.stroke_limits()
-    for k, dz in enumerate(offsets):
-        limbs, ik_status = _inverse_kinematics(params, attachment, u, z0 + dz, status[:, 0])
+    for k, z in enumerate(heaves):
+        l1, length, actuated, ik_status = _inverse_kinematics(params, attachment, u, z, closure)
         if k == 0:
-            G, kappa, cell_status = _jacobian(params, limbs, ik_status)
+            G, kappa, cell_status = _jacobian(params, attachment, l1, actuated, ik_status)
         else:
             # G, kappa and the status depend on the offset only through l1 and
             # the IK status: where both are bit for bit the previous offset's
             # (every rail-head cell of the stock grids), the previous results stand
-            same = (limbs.l1.view(np.uint64) == l1.view(np.uint64)).all(axis=(1, 2))
-            fresh = np.flatnonzero(~(same & (ik_status == previous)))
+            same = (l1.view(np.uint64) == last_l1.view(np.uint64)).all(axis=(1, 2))
+            fresh = np.flatnonzero(~(same & (ik_status == last_status)))
             if fresh.size:
                 G[fresh], kappa[fresh], cell_status[fresh] = _jacobian(
-                    params, limbs.take(fresh), ik_status[fresh]
+                    params, attachment[fresh], l1[fresh], actuated[fresh], ik_status[fresh]
                 )
-        l1, previous = limbs.l1, ik_status
+        last_l1, last_status = l1, ik_status
         ok = cell_status == OK
         if k == 0:
             values[ok, 3] = kappa[ok]
-            values[ok, 4 : len(RECORD)] = _stiffness_diagonal(params, G[ok], limbs.l1[ok])
-        strokes_ok = ((lo <= limbs.length) & (limbs.length <= hi)).all(axis=1)
+            values[ok, 4 : len(RECORD)] = _stiffness_diagonal(params, G[ok], l1[ok])
+        strokes_ok = ((lo <= length) & (length <= hi)).all(axis=1)
         values[:, len(RECORD) + k] = ok & strokes_ok & (1.0 / kappa >= kappa_min_inv)
         status[:, 1 + k] = cell_status
+
+
+def empty_table(n_psi: int, n_theta: int, n_offsets: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uninitialised values and status of a CellTable with n_offsets heave offsets."""
+    values = np.empty((n_psi, n_theta, len(RECORD) + n_offsets))
+    status = np.empty((n_psi, n_theta, 1 + n_offsets), dtype=np.int8)
     return values, status
 
 
 # (key, table) of the last grid evaluated: the next call on the same grid
 # takes its closure from the table (see evaluate_grid)
 _last_table: tuple[tuple[bytes, ...], CellTable] | None = None
-
-
-def _kept_closure(table: CellTable, cells: slice) -> tuple[np.ndarray, np.ndarray]:
-    """The parasitic triples (N, 3) and closure status (N,) of a slice of a
-    table's row-major cells.  The table holds a triple only where the closure
-    solved; zeros stand in elsewhere, as a failed cell's record and status
-    do not depend on its triple."""
-    closure = table.status.reshape(-1, table.status.shape[-1])[cells, 0]
-    u = table.values.reshape(-1, table.values.shape[-1])[cells, :3]
-    return np.where((closure == OK)[:, None], u, 0.0), closure
 
 
 def evaluate_grid(
@@ -313,25 +293,26 @@ def evaluate_grid(
     kept = last[1] if last is not None and last[0] == key else None
     if kept is None:
         _last_table = None  # let the old table go before this grid runs
+    heaves = [z0 + dz for dz in offsets]
+    values, status = empty_table(psi_axis.size, theta_axis.size, len(offsets))
+    # row-major cells: each block fills its own rows of the one table
+    cell_values = values.reshape(-1, values.shape[-1])
+    cell_status = status.reshape(-1, status.shape[-1])
     rows = max(1, BLOCK_CELLS // theta_axis.size)
     # each tilt rotation depends on one axis value: build it once per value
     rx_axis, ry_axis = _rotations(psi_axis, 0), _rotations(theta_axis, 1)
-    values, status = [], []
     for start in range(0, psi_axis.size, rows):
         rx_rows = rx_axis[start : start + rows]
         ry = np.tile(ry_axis, (len(rx_rows), 1, 1))
         rx = np.repeat(rx_rows, theta_axis.size, axis=0)
+        cells = slice(start * theta_axis.size, start * theta_axis.size + len(rx))
         if kept is None:
             u, closure = _solve_closure(params, ry, rx)
         else:
-            first = start * theta_axis.size
-            u, closure = _kept_closure(kept, slice(first, first + len(rx)))
-        block = _evaluate_cells(params, ry, rx, u, closure, z0, offsets, kappa_min_inv)
-        values.append(block[0])
-        status.append(block[1])
-    shape = (psi_axis.size, theta_axis.size, -1)
-    values = np.concatenate(values).reshape(shape)
-    status = np.concatenate(status).reshape(shape)
+            u = kept.values.reshape(-1, kept.values.shape[-1])[cells, :3]
+            closure = kept.status.reshape(-1, kept.status.shape[-1])[cells, 0]
+        block = cell_values[cells], cell_status[cells]
+        _evaluate_cells(params, ry, rx, u, closure, heaves, kappa_min_inv, *block)
     for a in (psi_axis, theta_axis, values, status):
         # read-only, so that the SweepGrid columns share them without a copy
         a.setflags(write=False)

@@ -167,7 +167,6 @@ def stiffness_map_parasitic(
     psi_axis: np.ndarray,
     theta_axis: np.ndarray,
     z: float | None = None,
-    rotational: dict[str, SweepGrid] | None = None,
 ) -> list[tuple[float, float, dict[str, float]]]:
     """The same stiffness samples re-keyed by their parasitic displacement.
 
@@ -176,8 +175,7 @@ def stiffness_map_parasitic(
     row-major order rather than resampled onto a rectangle.  Cells without
     stiffness values are left out, even where their parasitic shift solved.
     """
-    if rotational is None:
-        rotational = stiffness_map_rotational(params, psi_axis, theta_axis, z)
+    rotational = stiffness_map_rotational(params, psi_axis, theta_axis, z)
     solved = np.flatnonzero(rotational[STIFFNESS_FIELDS[0]].mask)
     xs, ys, *columns = (
         rotational[name].values.ravel()[solved].tolist()

@@ -21,7 +21,7 @@ from .config import SweepSettings
 from .errors import ConfigError
 from .geometry import MechanismParams, home_height
 from .grids import SweepGrid, fmt12, tilt_axes, write_map_csv
-from .kernel import RECORD, CellTable, evaluate_grid
+from .kernel import RECORD, CellTable, empty_table, evaluate_grid
 from .stiffness import STIFFNESS_FIELDS, _stiffness_table
 from .svg import emit_heatmap_svg
 
@@ -252,9 +252,7 @@ def _grid_in_child(params, psi_axis, theta_axis, z0, offsets, kappa_min_inv):
 
         def collect(like: CellTable) -> CellTable:
             nonlocal reaped
-            shape = (len(psi_axis), len(theta_axis))
-            values = np.empty((*shape, len(RECORD) + len(offsets)))
-            status = np.empty((*shape, 1 + len(offsets)), dtype=np.int8)
+            values, status = empty_table(len(psi_axis), len(theta_axis), len(offsets))
             # read before reaping: the child blocks until the pipe is drained
             complete = (
                 pipe.readinto(values) == values.nbytes
@@ -287,7 +285,8 @@ def run_comparison(settings: CompareSettings) -> ComparisonReport:
     Re-running with identical settings reproduces every file byte for byte.
     The machines' grids are independent until the verdict: a3's is
     evaluated in a forked child while this process evaluates z3's and
-    writes z3's files.
+    writes z3's files.  The heave offsets are taken highest first, whatever
+    order they are listed in.
     """
     out_dir = Path(settings.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -296,7 +295,8 @@ def run_comparison(settings: CompareSettings) -> ComparisonReport:
     a3 = settings.params_a3
     z0 = sweep.z_mm if sweep.z_mm is not None else home_height(z3)
     psi_axis, theta_axis = tilt_axes(sweep.grid_n, sweep.tilt_max_deg)
-    offsets = settings.heave_offsets
+    # the kernel takes kappa and the stiffness columns at the first offset
+    offsets = tuple(sorted(settings.heave_offsets, reverse=True))
     grid = (psi_axis, theta_axis, z0, offsets, sweep.kappa_min_inv)
 
     tables: dict = {}
@@ -309,11 +309,11 @@ def run_comparison(settings: CompareSettings) -> ComparisonReport:
     areas: dict = {}
     metrics: dict = {}
     for label, table in tables.items():
-        areas[label] = {dz: _area(table[f"inside_{k}"]) for k, dz in enumerate(offsets)}
-        for dz, area in areas[label].items():
+        areas[label] = [_area(table[f"inside_{k}"]) for k in range(len(offsets))]
+        for dz, area in zip(offsets, areas[label]):
             stats = dict.fromkeys(("min", "max", "mean"), area)
             metrics.setdefault(f"workspace_area_dz{fmt12(dz)}", {})[label] = stats
-        for name in ("x_mm", "y_mm", "gamma_rad", "kappa", *STIFFNESS_FIELDS):
+        for name in RECORD:
             metrics.setdefault(name, {})[label] = _stats(table[name])
     report = ComparisonReport(
         grid_n=sweep.grid_n,
@@ -368,9 +368,8 @@ def _verdict_flags(tables, areas) -> dict:
     else:
         condition_peak = "undetermined"
 
-    # areas from the highest offset down, whatever order the offsets were listed in
-    z3_areas = [area for _, area in sorted(areas["z3"].items(), reverse=True)]
-    a3_areas = [area for _, area in sorted(areas["a3"].items(), reverse=True)]
+    # areas from the highest offset down, as run_comparison orders the offsets
+    z3_areas, a3_areas = areas["z3"], areas["a3"]
     if len(z3_areas) < 2:
         z3_invariant = a3_shrinks = "undetermined"
     else:

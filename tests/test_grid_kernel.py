@@ -388,14 +388,14 @@ def test_kernel_ik_matches_reference(params, z0, shift, expected):
     seen = set()
     for dz in OFFSETS:
         z = z0 + dz
-        limbs, status = kernel._inverse_kinematics(params, attachment, u, z, closed)
+        _, length, _, status = kernel._inverse_kinematics(params, attachment, u, z, closed)
         for n in range(psi.size):
             R = rotation_from_tilts_scipy(psi[n], theta[n], u[n, 2])
             want, failure = ik_reference(params, (u[n, 0], u[n, 1], z), R)
             pose = pose_from_tilts(psi[n], theta[n], z, *u[n])
             if failure is None:
                 assert status[n] == CellStatus.OK
-                assert np.all(np.abs(limbs.length[n] - want) <= 1e-9)
+                assert np.all(np.abs(length[n] - want) <= 1e-9)
                 lengths = [state.actuated_length for state in inverse_kinematics(params, pose)]
                 assert lengths == pytest.approx(want, abs=1e-9)
                 continue
@@ -413,10 +413,10 @@ def test_kernel_limb_rates_match_reference(variant):
     _, _, u, closed, attachment = closed_cells(params, 9, 40.0)
     for dz in OFFSETS:
         z = home_height(params) + dz
-        limbs, status = kernel._inverse_kinematics(params, attachment, u, z, closed)
+        l1, _, _, status = kernel._inverse_kinematics(params, attachment, u, z, closed)
         assert np.all(status == CellStatus.OK)
-        for l1, got in zip(limbs.l1, stiffness._limb_rates(params, limbs.l1)):
-            want = limb_rates_reference(params, l1)
+        for cell_l1, got in zip(l1, stiffness._limb_rates(params, l1)):
+            want = limb_rates_reference(params, cell_l1)
             assert np.all(np.abs(got - want) <= 1e-12 * want)
 
 
@@ -425,11 +425,12 @@ def test_grid_stiffness_is_symmetric_psd(variant):
     # K = G diag(k) G^T on every cell, and its diagonal is the table's
     params = default_params(variant)
     psi, _, u, closed, attachment = closed_cells(params, 21, 40.0)
-    limbs, status = kernel._inverse_kinematics(params, attachment, u, home_height(params), closed)
-    G, _, status = kernel._jacobian(params, limbs, status)
+    z = home_height(params)
+    l1, _, actuated, status = kernel._inverse_kinematics(params, attachment, u, z, closed)
+    G, _, status = kernel._jacobian(params, attachment, l1, actuated, status)
     ok = np.flatnonzero(status == CellStatus.OK)
     assert ok.size == psi.size
-    rates = stiffness._limb_rates(params, limbs.l1[ok])
+    rates = stiffness._limb_rates(params, l1[ok])
     K = (G[ok] * rates[:, None, :]) @ np.swapaxes(G[ok], 1, 2)
     scale = np.abs(K).max(axis=(1, 2))
     assert np.all(np.abs(K - np.swapaxes(K, 1, 2)).max(axis=(1, 2)) <= 1e-12 * scale)
@@ -448,8 +449,8 @@ def test_kernel_wrench_matrix_matches_reference(variant):
     psi, theta, u, closed, attachment = closed_cells(params, 9, 40.0)
     for dz in OFFSETS:
         z = home_height(params) + dz
-        limbs, status = kernel._inverse_kinematics(params, attachment, u, z, closed)
-        G, _, status = kernel._jacobian(params, limbs, status)
+        l1, _, actuated, status = kernel._inverse_kinematics(params, attachment, u, z, closed)
+        G, _, status = kernel._jacobian(params, attachment, l1, actuated, status)
         ok = np.flatnonzero(status == CellStatus.OK)
         assert ok.size == psi.size
         for n in ok:
@@ -476,9 +477,9 @@ def test_jacobian_reused_across_offsets(monkeypatch, variant, passes):
     rows = []
     jacobian = kernel._jacobian
 
-    def counted(params, limbs, status):
+    def counted(params, attachment, l1, actuated, status):
         rows.append(len(status))
-        return jacobian(params, limbs, status)
+        return jacobian(params, attachment, l1, actuated, status)
 
     monkeypatch.setattr(kernel, "_jacobian", counted)
     psi_axis, theta_axis = tilt_axes(41, 40.0)
@@ -520,11 +521,11 @@ def test_jacobian_reuse_follows_ik_status(monkeypatch):
     inverse_kinematics = kernel._inverse_kinematics
 
     def failing(params, attachment, u, z, status):
-        limbs, status = inverse_kinematics(params, attachment, u, z, status)
+        *limbs, status = inverse_kinematics(params, attachment, u, z, status)
         if z == z0 + OFFSETS[1]:
             status = status.copy()
             status[::2] = CellStatus.UNREACHABLE
-        return limbs, status
+        return *limbs, status
 
     monkeypatch.setattr(kernel, "_inverse_kinematics", failing)
     assert_offsets_evaluate_alone(params, tilt_axes(9, 40.0), z0)
@@ -582,8 +583,9 @@ def test_check_order_on_hand_built_stacks(variant):
     *_, checks = jacobian._jacobian_stage(params, attachment, l1, actuated, params.layout.tangent)
     for cell, want in enumerate(fails):
         assert {error.__name__ for failed, error, _ in checks if failed[cell].any()} == want
-    limbs = kernel.LimbStack(attachment, l1, np.zeros((n, 3)), actuated)
-    G, kappa, status = kernel._jacobian(params, limbs, np.zeros(n, dtype=np.int8))
+    G, kappa, status = kernel._jacobian(
+        params, attachment, l1, actuated, np.zeros(n, dtype=np.int8)
+    )
     assert [CellStatus(code).name for code in status] == names
     assert np.array_equal(np.isnan(kappa), [name != "OK" for name in names])
     for cell, name in enumerate(names):

@@ -284,7 +284,7 @@ def test_parasitic_keyed_samples_match_rotational(params, n, max_deg, empty):
     rotational = stiffness_map_rotational(params, psi_axis, theta_axis)
     solved = rotational["kpx"].mask
     assert rotational["x_par_mm"].mask.all() and int((~solved).sum()) == empty
-    samples = stiffness_map_parasitic(params, psi_axis, theta_axis, rotational=rotational)
+    samples = stiffness_map_parasitic(params, psi_axis, theta_axis)
     # one triple per cell with stiffness values, in row-major order
     expected = [
         (

@@ -204,6 +204,14 @@ def test_height_flags_do_not_depend_on_offset_order(tmp_path):
     assert [reverse.flags[name] for name in HEIGHT_FLAGS] == [True, True]
 
 
+def test_offset_order_does_not_change_the_bundle(tmp_path):
+    # kappa, the stiffness columns and their flag come from the highest offset
+    listed, _ = _run(tmp_path, "listed")
+    reverse, report = _run(tmp_path, "reverse", heave_offsets=DEFAULT_HEAVE_OFFSETS[::-1])
+    assert report.heave_offsets == DEFAULT_HEAVE_OFFSETS
+    _assert_same_bundle(listed, reverse)
+
+
 def test_height_flags_need_two_offsets(tmp_path):
     out, report = _run(tmp_path, "one", heave_offsets=(0.0,))
     text = (out / "report.txt").read_text(encoding="utf-8")
@@ -392,9 +400,9 @@ def test_failing_stage_empties_only_its_cell(monkeypatch, tmp_path, z3_params, e
     R = solve_loop_closure(z3_params, psi_axis[broken[0]], theta_axis[broken[1]]).pose.R
     target = np.array([platform_attachment(z3_params, R, limb) for limb in (1, 2, 3)])
 
-    def jacobian(params, limbs, status):
-        G, kappa, status = real_jacobian(params, limbs, status)
-        hit = np.all(np.abs(limbs.attachment - target) < 1e-9, axis=(1, 2))
+    def jacobian(params, attachment, l1, actuated, status):
+        G, kappa, status = real_jacobian(params, attachment, l1, actuated, status)
+        hit = np.all(np.abs(attachment - target) < 1e-9, axis=(1, 2))
         return G, kappa, np.where(hit, CELL_ERRORS.index(error) + 1, status)
 
     monkeypatch.setattr(kernel, "_jacobian", jacobian)
