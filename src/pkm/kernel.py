@@ -22,7 +22,7 @@ import numpy as np
 
 from . import jacobian, parasitic
 from .errors import CELL_ERRORS, CellStatus
-from .geometry import MechanismParams, home_height
+from .geometry import MechanismParams, home_height, rot_x, rot_y
 from .grids import SweepGrid, check_axes
 from .kinematics import CONSTRAINT_TOL, _solve_limbs
 from .parasitic import CLOSURE_MAX_ITER, CLOSURE_TOL, DAMPING_TRIES
@@ -62,39 +62,26 @@ class CellTable:
         return SweepGrid(self.psi_axis, self.theta_axis, self.values[:, :, columns[name]])
 
 
-def _rotations(angles: np.ndarray, axis: int) -> np.ndarray:
-    """Stack of rot_x, rot_y or rot_z (axis 0, 1, 2), entry for entry as geometry builds them.
-
-    The cos and sin come from math, as in the scalar functions: the closure
-    has to reproduce solve_loop_closure bit for bit, because the grid means
-    of the odd parasitic fields cancel down to rounding noise, where a
-    single bit of one cell shows.  evaluate_grid builds rot_x(psi) and
-    rot_y(theta) once per axis value and indexes them into its cells; the
-    closure builds rot_z(gamma) per cell.
-    """
-    values = angles.tolist()
-    c = np.array([math.cos(a) for a in values])
-    s = np.array([math.sin(a) for a in values])
-    i, j = (axis + 1) % 3, (axis + 2) % 3
-    R = np.zeros((len(values), 3, 3))
-    R[:, axis, axis] = 1.0
-    R[:, i, i] = c
-    R[:, j, j] = c
-    R[:, i, j] = -s
-    R[:, j, i] = s
-    return R
-
-
 def _orientations(ry: np.ndarray, rx: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """orientation_from_tilts for each cell from its rot_y(theta) and rot_x(psi).
 
-    np.matmul runs the same BLAS call per cell as the scalar function.
+    rot_z(gamma) is built entry for entry as geometry.rot_z builds it, with
+    the cos and sin from math: the closure has to reproduce
+    solve_loop_closure bit for bit, because the grid means of the odd
+    parasitic fields cancel down to rounding noise, where a single bit of
+    one cell shows.  np.matmul runs the same BLAS call per cell as the
+    scalar function.
     """
-    return _rotations(gamma, 2) @ ry @ rx
+    values = gamma.tolist()
+    c = np.array([math.cos(a) for a in values])
+    s = np.array([math.sin(a) for a in values])
+    zero, one = np.zeros(len(values)), np.ones(len(values))
+    rz = np.stack((c, -s, zero, s, c, zero, zero, zero, one), axis=1).reshape(-1, 3, 3)
+    return rz @ ry @ rx
 
 
 def _closure_residual(params: MechanismParams, ry: np.ndarray, rx: np.ndarray, u: np.ndarray):
-    """parasitic._closure_residual for every cell: g_iy (N, 3) and C1 (N, 3, 3)."""
+    """parasitic._closure_rows for every cell at its triple u: g_iy (N, 3) and C1 (N, 3, 3)."""
     attachments = parasitic._attachments(params, _orientations(ry, rx, u[:, 2]))
     return parasitic._closure_rows(params, attachments, u)
 
@@ -222,18 +209,16 @@ def _evaluate_cells(
     lo, hi = params.stroke_limits()
     for k, z in enumerate(heaves):
         l1, length, actuated, ik_status = _inverse_kinematics(params, attachment, u, z, closure)
-        if k == 0:
+        # G, kappa and the status depend on the offset only through l1 and
+        # the IK status: where both repeat the previous offset's bit for bit
+        # in every cell (every rail-head block), the previous results stand
+        repeats = (
+            k > 0
+            and np.array_equal(l1.view(np.uint64), last_l1.view(np.uint64))
+            and np.array_equal(ik_status, last_status)
+        )
+        if not repeats:
             G, kappa, cell_status = _jacobian(params, attachment, l1, actuated, ik_status)
-        else:
-            # G, kappa and the status depend on the offset only through l1 and
-            # the IK status: where both are bit for bit the previous offset's
-            # (every rail-head cell of the stock grids), the previous results stand
-            same = (l1.view(np.uint64) == last_l1.view(np.uint64)).all(axis=(1, 2))
-            fresh = np.flatnonzero(~(same & (ik_status == last_status)))
-            if fresh.size:
-                G[fresh], kappa[fresh], cell_status[fresh] = _jacobian(
-                    params, attachment[fresh], l1[fresh], actuated[fresh], ik_status[fresh]
-                )
         last_l1, last_status = l1, ik_status
         ok = cell_status == OK
         if k == 0:
@@ -273,8 +258,9 @@ def evaluate_grid(
     (offsets=() solves only the closure).  inside_k is 1 where the chain
     succeeded at offset k, the strokes are within their limits and
     1/kappa >= kappa_min_inv.  Both axes must be one-dimensional,
-    non-empty, finite and strictly increasing.  The table's arrays, axis
-    copies included, are read-only.
+    non-empty, finite and strictly increasing, and z0 and every heave
+    z0 + dz finite.  The table's arrays, axis copies included, are
+    read-only.
     """
     global _last_table
     psi_axis = np.array(psi_axis, dtype=float)
@@ -283,6 +269,9 @@ def evaluate_grid(
     parasitic._check_tilt_bounds(np.abs(psi_axis).max(), np.abs(theta_axis).max())
     if z0 is None:
         z0 = home_height(params)
+    heaves = [z0 + dz for dz in offsets]
+    if not all(map(math.isfinite, (z0, *heaves))):
+        raise ValueError(f"heaves must be finite, got z0 {z0!r} and offsets {offsets!r}")
     # the closure reads nothing of a machine but its platform attachments and
     # limb azimuths, so both heads, every heave and every map of one geometry
     # share it.  The key holds the bits of exactly those inputs and of the
@@ -293,14 +282,14 @@ def evaluate_grid(
     kept = last[1] if last is not None and last[0] == key else None
     if kept is None:
         _last_table = None  # let the old table go before this grid runs
-    heaves = [z0 + dz for dz in offsets]
     values, status = empty_table(psi_axis.size, theta_axis.size, len(offsets))
     # row-major cells: each block fills its own rows of the one table
     cell_values = values.reshape(-1, values.shape[-1])
     cell_status = status.reshape(-1, status.shape[-1])
     rows = max(1, BLOCK_CELLS // theta_axis.size)
     # each tilt rotation depends on one axis value: build it once per value
-    rx_axis, ry_axis = _rotations(psi_axis, 0), _rotations(theta_axis, 1)
+    rx_axis = np.array([rot_x(a) for a in psi_axis.tolist()])
+    ry_axis = np.array([rot_y(a) for a in theta_axis.tolist()])
     for start in range(0, psi_axis.size, rows):
         rx_rows = rx_axis[start : start + rows]
         ry = np.tile(ry_axis, (len(rx_rows), 1, 1))

@@ -74,8 +74,11 @@ def _solve_limbs(params: MechanismParams, joint: np.ndarray, constraint_tol: flo
     l1 = joint - layout.anchor
     if params.variant is Variant.Z3_PRS:
         disc = params.link_length**2 - gx**2 - gy**2
-        length = gz - np.sqrt(np.maximum(disc, 0.0))
-        l1[..., 2] -= length
+        # the strut's rise: gx, gy and disc do not involve the heave, so
+        # neither does l1, bit for bit; the carriage takes up the rest of gz
+        rise = np.sqrt(np.maximum(disc, 0.0))
+        length = gz - rise
+        l1[..., 2] = rise
         actuated = np.zeros(l1.shape)
         actuated[..., 2] = 1.0
         unreachable = (

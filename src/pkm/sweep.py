@@ -20,7 +20,7 @@ import numpy as np
 from .config import SweepSettings
 from .errors import ConfigError
 from .geometry import MechanismParams, home_height
-from .grids import SweepGrid, fmt12, tilt_axes, write_map_csv
+from .grids import SweepGrid, check_axes, fmt12, tilt_axes, write_map_csv
 from .kernel import RECORD, CellTable, empty_table, evaluate_grid
 from .stiffness import STIFFNESS_FIELDS, _stiffness_table
 from .svg import emit_heatmap_svg
@@ -40,15 +40,14 @@ def _area(grid: SweepGrid) -> float:
 
 
 def _check_area_axes(*axes) -> None:
-    """Raise ValueError unless each axis has two or more points and every
-    spacing is within 1e-9 of the first spacing, as _area assumes.
-
-    The rest of the axis checks (one-dimensional, finite, increasing) are
-    evaluate_grid's."""
+    """Raise ValueError unless each axis passes check_axes, has two or more
+    points, and every spacing is within 1e-9 of the first spacing, as
+    _area assumes."""
+    axes = [np.asarray(axis, dtype=float) for axis in axes]
+    check_axes(*axes)
     for axis in axes:
-        axis = np.asarray(axis, dtype=float)
-        if axis.ndim != 1 or axis.size < 2:
-            raise ValueError("the workspace area needs one-dimensional axes of at least 2 points")
+        if axis.size < 2:
+            raise ValueError("the workspace area needs axes of at least 2 points")
         steps = np.diff(axis)
         if np.any(np.abs(steps - steps[0]) > 1e-9 * np.abs(steps[0])):
             raise ValueError("the workspace area needs evenly spaced axes")

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pkm import cli, jacobian, kernel, parasitic, stiffness
+from pkm import cli, jacobian, kernel, parasitic, stiffness, sweep
 from pkm.errors import CELL_ERRORS, CellStatus
 from pkm.geometry import (
     MechanismParams,
@@ -20,6 +20,8 @@ from pkm.geometry import (
     home_height,
     home_pose,
     pose_from_tilts,
+    rot_x,
+    rot_y,
 )
 from pkm.grids import tilt_axes
 from pkm.jacobian import build_jacobian, constraint_projector, homogenized_jacobian
@@ -340,7 +342,8 @@ def closed_cells(params, grid_n, tilt_max_deg):
     psi_axis, theta_axis = tilt_axes(grid_n, tilt_max_deg)
     psi = np.repeat(psi_axis, theta_axis.size)
     theta = np.tile(theta_axis, psi_axis.size)
-    ry, rx = kernel._rotations(theta, 1), kernel._rotations(psi, 0)
+    ry = np.array([rot_y(a) for a in theta.tolist()])
+    rx = np.array([rot_x(a) for a in psi.tolist()])
     u, closed = kernel._solve_closure(params, ry, rx)
     attachment = parasitic._attachments(params, kernel._orientations(ry, rx, u[:, 2]))
     return psi, theta, u, closed, attachment
@@ -468,24 +471,33 @@ def test_kernel_wrench_matrix_matches_reference(variant):
 
 
 @pytest.mark.parametrize(
-    "variant, passes", [(Variant.Z3_PRS, 1), (Variant.A3_RPS, 3)], ids=["z3", "a3"]
+    "params, passes",
+    [
+        (default_params(Variant.Z3_PRS), 1),
+        (MechanismParams(Variant.Z3_PRS, link_length=105.0), 1),
+        (default_params(Variant.A3_RPS), 3),
+    ],
+    ids=["z3", "z3-short-link", "a3"],
 )
-def test_jacobian_reused_across_offsets(monkeypatch, variant, passes):
-    # z3's l1 is the same at every heave, bit for bit, so each cell's
-    # Jacobian carries over from the first offset; a3's struts tilt with heave.
-    # An offset with nothing to recompute makes no call at all.
-    rows = []
+def test_jacobian_reused_across_offsets(monkeypatch, params, passes):
+    # z3's l1 is the same at every heave, bit for bit, at any geometry, so
+    # each block's Jacobian carries over from the first offset; a3's struts
+    # tilt with heave, so each of its blocks runs whole at every offset
+    attachments = []
     jacobian = kernel._jacobian
 
     def counted(params, attachment, l1, actuated, status):
-        rows.append(len(status))
+        attachments.append(attachment)
         return jacobian(params, attachment, l1, actuated, status)
 
     monkeypatch.setattr(kernel, "_jacobian", counted)
     psi_axis, theta_axis = tilt_axes(41, 40.0)
-    kernel.evaluate_grid(default_params(variant), psi_axis, theta_axis, None, OFFSETS)
-    assert sum(rows) == passes * psi_axis.size * theta_axis.size
-    assert 0 not in rows
+    kernel.evaluate_grid(params, psi_axis, theta_axis, None, OFFSETS)
+    assert sum(map(len, attachments)) == passes * psi_axis.size * theta_axis.size
+    assert 0 not in map(len, attachments)
+    # a block's later offsets take its own attachment array, not a copy
+    blocks = [attachments[n : n + passes] for n in range(0, len(attachments), passes)]
+    assert all(attachment is block[0] for block in blocks for attachment in block)
 
 
 def assert_offsets_evaluate_alone(params, axes, z0):
@@ -661,6 +673,29 @@ def test_evaluate_grid_checks_axes_before_running(monkeypatch, psi_axis, message
             kernel.evaluate_grid(params, psi, theta, None, OFFSETS)
 
 
+@pytest.mark.parametrize("heave", [math.nan, math.inf, -math.inf], ids=["NaN", "inf", "-inf"])
+def test_grid_functions_need_finite_heaves(monkeypatch, heave):
+    def no_closure(*args):
+        raise AssertionError("the closure ran")
+
+    monkeypatch.setattr(kernel, "_solve_closure", no_closure)
+    params = default_params(Variant.A3_RPS)
+    axes = tilt_axes(5, 40.0)
+    grid_functions = (
+        parasitic.parasitic_map,
+        sweep.condition_map,
+        sweep.workspace_slice,
+        stiffness.stiffness_map_rotational,
+        kernel.evaluate_grid,
+    )
+    for grid_function in grid_functions:
+        with pytest.raises(ValueError, match="finite"):
+            grid_function(params, *axes, heave)
+    # as one offset of a finite z0
+    with pytest.raises(ValueError, match="finite"):
+        kernel.evaluate_grid(params, *axes, None, (0.0, heave))
+
+
 # (grid_n, tilt_max_deg) of the whole-grid invariants
 INVARIANT_GRIDS = [(41, 40.0), (13, 60.0), (2, 40.0)]
 
@@ -693,9 +728,18 @@ def test_grid_parasitics_shared_and_z3_kappa_heave_free(grid_n, tilt_max_deg):
     axes = tilt_axes(grid_n, tilt_max_deg)
     table = kernel.evaluate_grid(z3, *axes)
     assert np.array_equal(table.values[..., :3], kernel.evaluate_grid(a3, *axes).values[..., :3])
-    lowered = kernel.evaluate_grid(z3, *axes, home_height(z3) - 100.0)
-    assert np.array_equal(lowered.values[..., :3], table.values[..., :3])
-    assert np.array_equal(lowered["kappa"].values, table["kappa"].values)
+    # the rail carriage takes up the heave: z3's strut rise does not involve
+    # it, so the parasitics, kappa, the stiffness and the Jacobian status
+    # keep every bit
+    for params in (z3, MechanismParams(Variant.Z3_PRS, link_length=105.0)):
+        z0 = home_height(params)
+        home = kernel.evaluate_grid(params, *axes, z0)
+        for dz in (-100.0, -400.0, 300.0):
+            moved = kernel.evaluate_grid(params, *axes, z0 + dz)
+            for name in kernel.RECORD:
+                bits = (t[name].values.view(np.uint64) for t in (moved, home))
+                assert np.array_equal(*bits), (params.link_length, dz, name)
+            assert np.array_equal(moved.status, home.status), (params.link_length, dz)
 
 
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)

@@ -73,8 +73,10 @@ def test_workspace_area_counts_cells(params):
         ([-0.1, 0.0, 0.1], [0.2], "at least 2 points"),
         ([-0.3, 0.0, 0.01], [-0.1, 0.0, 0.1], "evenly spaced"),
         ([-0.1, 0.0, 0.1], [-0.1, 0.0, 0.1 * (1 + 3e-9)], "evenly spaced"),
+        ([0.0, math.inf], [-0.1, 0.0, 0.1], "axes must be finite"),
+        ([-0.1, 0.0, 0.1], [-math.inf, 0.0, 0.1], "axes must be finite"),
     ],
-    ids=["1-point-psi", "1-point-theta", "uneven-psi", "uneven-theta"],
+    ids=["1-point-psi", "1-point-theta", "uneven-psi", "uneven-theta", "inf-psi", "-inf-theta"],
 )
 def test_workspace_area_needs_even_axes(monkeypatch, z3_params, psi_axis, theta_axis, message):
     def no_sweep(*args, **kwargs):
