@@ -229,13 +229,6 @@ def _evaluate_cells(
         status[:, 1 + k] = cell_status
 
 
-def empty_table(n_psi: int, n_theta: int, n_offsets: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uninitialised values and status of a CellTable with n_offsets heave offsets."""
-    values = np.empty((n_psi, n_theta, len(RECORD) + n_offsets))
-    status = np.empty((n_psi, n_theta, 1 + n_offsets), dtype=np.int8)
-    return values, status
-
-
 # (key, table) of the last grid evaluated: the next call on the same grid
 # takes its closure from the table (see evaluate_grid)
 _last_table: tuple[tuple[bytes, ...], CellTable] | None = None
@@ -258,9 +251,9 @@ def evaluate_grid(
     (offsets=() solves only the closure).  inside_k is 1 where the chain
     succeeded at offset k, the strokes are within their limits and
     1/kappa >= kappa_min_inv.  Both axes must be one-dimensional,
-    non-empty, finite and strictly increasing, and z0 and every heave
-    z0 + dz finite.  The table's arrays, axis copies included, are
-    read-only.
+    non-empty, finite and strictly increasing, z0 and every heave z0 + dz
+    finite, and 0 < kappa_min_inv < 1, as SweepSettings requires.  The
+    table's arrays, axis copies included, are read-only.
     """
     global _last_table
     psi_axis = np.array(psi_axis, dtype=float)
@@ -272,6 +265,8 @@ def evaluate_grid(
     heaves = [z0 + dz for dz in offsets]
     if not all(map(math.isfinite, (z0, *heaves))):
         raise ValueError(f"heaves must be finite, got z0 {z0!r} and offsets {offsets!r}")
+    if not 0.0 < kappa_min_inv < 1.0:
+        raise ValueError(f"kappa_min_inv must lie in (0, 1), got {kappa_min_inv!r}")
     # the closure reads nothing of a machine but its platform attachments and
     # limb azimuths, so both heads, every heave and every map of one geometry
     # share it.  The key holds the bits of exactly those inputs and of the
@@ -282,7 +277,9 @@ def evaluate_grid(
     kept = last[1] if last is not None and last[0] == key else None
     if kept is None:
         _last_table = None  # let the old table go before this grid runs
-    values, status = empty_table(psi_axis.size, theta_axis.size, len(offsets))
+    shape = (psi_axis.size, theta_axis.size)
+    values = np.empty((*shape, len(RECORD) + len(offsets)))
+    status = np.empty((*shape, 1 + len(offsets)), dtype=np.int8)
     # row-major cells: each block fills its own rows of the one table
     cell_values = values.reshape(-1, values.shape[-1])
     cell_status = status.reshape(-1, status.shape[-1])

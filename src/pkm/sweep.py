@@ -1,17 +1,14 @@
 """Grid sweeps, their CSV/SVG figure writers and the two-machine comparison.
 
 Every map and the comparison evaluate their tilt cells through one
-evaluator, the batched cell kernel.  The maps run in the calling process.
-The comparison forks once where os.fork exists: a child evaluates a3's
-grid and sends the table's arrays back through a pipe, while the parent
-evaluates z3's grid and writes z3's files; the parent writes every file.
+evaluator, the batched cell kernel, in the calling process.  The
+comparison evaluates z3's grid and then a3's, which takes its closure from
+the kernel's kept table, and only then writes both machines' files.
 """
 from __future__ import annotations
 
 import math
-import os
 import shutil
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,7 +18,7 @@ from .config import SweepSettings
 from .errors import ConfigError
 from .geometry import MechanismParams, home_height
 from .grids import SweepGrid, check_axes, fmt12, tilt_axes, write_map_csv
-from .kernel import RECORD, CellTable, empty_table, evaluate_grid
+from .kernel import RECORD, evaluate_grid
 from .stiffness import STIFFNESS_FIELDS, _stiffness_table
 from .svg import emit_heatmap_svg
 
@@ -139,8 +136,7 @@ class CompareSettings:
     out_dir: str | Path
     sweep: SweepSettings = field(default_factory=SweepSettings)
     heave_offsets: tuple[float, ...] = DEFAULT_HEAVE_OFFSETS
-    # accepted and ignored: run_comparison always uses two processes where
-    # os.fork exists (a3's grid in a forked child) and one elsewhere
+    # accepted and ignored: run_comparison runs in the calling process
     workers: int = 1
 
     def __post_init__(self):
@@ -213,79 +209,16 @@ def _dominant_home_machine(tables) -> str:
     return "tie" if not winners else "mixed"
 
 
-@contextmanager
-def _grid_in_child(params, psi_axis, theta_axis, z0, offsets, kappa_min_inv):
-    """Evaluate one machine's grid in a forked child while the caller goes on.
-
-    Yields collect(like), which returns the grid's CellTable on the axes of
-    the CellTable like.  The child sends the table's values and status
-    through a pipe as raw bytes and ends with os._exit: it flushes no stdio,
-    runs no exit handler and writes no file.  Where os.fork is missing, the
-    child fails or its bytes come up short, collect evaluates the grid in
-    this process instead, so an error is raised here with its traceback.
-    If the caller raises before collecting, the child is killed and reaped.
-    """
-
-    def here():
-        return evaluate_grid(params, psi_axis, theta_axis, z0, offsets, kappa_min_inv)
-
-    if not hasattr(os, "fork"):
-        yield lambda like: here()
-        return
-    read_fd, write_fd = os.pipe()
-    with open(read_fd, "rb") as pipe, open(write_fd, "wb") as sink:
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                pipe.close()
-                table = here()
-                sink.write(table.values.data)
-                sink.write(table.status.data)
-                sink.close()
-                code = 0
-            finally:
-                os._exit(code)
-        sink.close()
-        reaped = False
-
-        def collect(like: CellTable) -> CellTable:
-            nonlocal reaped
-            values, status = empty_table(len(psi_axis), len(theta_axis), len(offsets))
-            # read before reaping: the child blocks until the pipe is drained
-            complete = (
-                pipe.readinto(values) == values.nbytes
-                and pipe.readinto(status) == status.nbytes
-            )
-            pipe.close()  # a child with bytes left to write fails instead of blocking
-            _, wait_status = os.waitpid(pid, 0)
-            reaped = True
-            if not complete or os.waitstatus_to_exitcode(wait_status) != 0:
-                return here()
-            for a in (values, status):
-                a.setflags(write=False)
-            return CellTable(like.psi_axis, like.theta_axis, values, status)
-
-        try:
-            yield collect
-        finally:
-            if not reaped:
-                # imported only here: its enums cost about 40 kB at import
-                import signal
-
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
 def run_comparison(settings: CompareSettings) -> ComparisonReport:
     """Run all paired sweeps, write the CSV/SVG bundle and summarize.
 
     Output naming is {machine}_{figure_class}[...].csv/.svg inside out_dir.
     Re-running with identical settings reproduces every file byte for byte.
-    The machines' grids are independent until the verdict: a3's is
-    evaluated in a forked child while this process evaluates z3's and
-    writes z3's files.  The heave offsets are taken highest first, whatever
-    order they are listed in.
+    Both grids are evaluated in this process, z3's first, before any file
+    is written, so an error in either writes no file.  a3's grid takes its
+    closure from z3's table when the heads share their platform geometry,
+    as the stock heads do.  The heave offsets are taken highest first,
+    whatever order they are listed in.
     """
     out_dir = Path(settings.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -298,12 +231,9 @@ def run_comparison(settings: CompareSettings) -> ComparisonReport:
     offsets = tuple(sorted(settings.heave_offsets, reverse=True))
     grid = (psi_axis, theta_axis, z0, offsets, sweep.kappa_min_inv)
 
-    tables: dict = {}
-    with _grid_in_child(a3, *grid) as collect_a3:
-        tables["z3"] = evaluate_grid(z3, *grid)
-        _write_machine(out_dir, "z3", tables["z3"], offsets)
-        tables["a3"] = collect_a3(tables["z3"])
-    _write_machine(out_dir, "a3", tables["a3"], offsets)
+    tables = {"z3": evaluate_grid(z3, *grid), "a3": evaluate_grid(a3, *grid)}
+    for label, table in tables.items():
+        _write_machine(out_dir, label, table, offsets)
 
     areas: dict = {}
     metrics: dict = {}

@@ -347,8 +347,9 @@ def test_cli_maps_match_compare_bundle(tmp_path, capsys, machine):
 
 
 def test_compare_as_a_user_runs_it_warns_nothing(tmp_path):
-    # a warning from the forked comparison, such as a ResourceWarning for a
-    # pipe left open, fails the run under -W error or shows on stderr
+    # any warning from the comparison, such as a ResourceWarning for a file
+    # left open or a numpy DeprecationWarning, fails the run under -W error
+    # or shows on stderr
     env = dict(os.environ)
     src = str(Path(pkm.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))

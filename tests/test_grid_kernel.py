@@ -696,6 +696,21 @@ def test_grid_functions_need_finite_heaves(monkeypatch, heave):
         kernel.evaluate_grid(params, *axes, None, (0.0, heave))
 
 
+@pytest.mark.parametrize(
+    "kappa_min_inv", [math.nan, -1.0, 0.0, 1.0, math.inf], ids=["NaN", "-1", "0", "1", "inf"]
+)
+def test_grid_functions_need_kappa_floor_in_unit_interval(monkeypatch, kappa_min_inv):
+    def no_closure(*args):
+        raise AssertionError("the closure ran")
+
+    monkeypatch.setattr(kernel, "_solve_closure", no_closure)
+    params = default_params(Variant.Z3_PRS)
+    axes = tilt_axes(3, 30.0)
+    for grid_function in (kernel.evaluate_grid, sweep.workspace_slice):
+        with pytest.raises(ValueError, match="kappa_min_inv"):
+            grid_function(params, *axes, kappa_min_inv=kappa_min_inv)
+
+
 # (grid_n, tilt_max_deg) of the whole-grid invariants
 INVARIANT_GRIDS = [(41, 40.0), (13, 60.0), (2, 40.0)]
 

@@ -1,8 +1,6 @@
 import filecmp
 import math
 import os
-import signal
-import time
 
 import numpy as np
 import pytest
@@ -254,69 +252,36 @@ def test_comparison_reruns_byte_identical(tmp_path):
 
 
 def test_comparison_worker_count_does_not_change_bytes(tmp_path):
-    serial, _ = _run(tmp_path, "serial", workers=1)
-    forked, _ = _run(tmp_path, "forked", workers=2)
-    _assert_same_bundle(serial, forked)
+    one, _ = _run(tmp_path, "one", workers=1)
+    two, _ = _run(tmp_path, "two", workers=2)
+    _assert_same_bundle(one, two)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children os.fork made, as the parent saw them."""
-    pids = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
-def _assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
-def test_comparison_forks_once_and_reaps_the_child(tmp_path, forks):
-    _run(tmp_path, "bundle")
-    assert len(forks) == 1
-    _assert_reaped(forks)
-
-
-def test_comparison_without_fork_is_byte_identical(monkeypatch, tmp_path):
-    forked, _ = _run(tmp_path, "forked")
-    monkeypatch.delattr(os, "fork")
-    single, _ = _run(tmp_path, "single")
-    _assert_same_bundle(forked, single)
-
-
-@pytest.mark.parametrize("fault", ["raises", "short"])
-def test_failed_child_grid_is_evaluated_in_the_parent(monkeypatch, tmp_path, forks, fault):
+def test_comparison_runs_in_one_process(monkeypatch, tmp_path):
     reference, _ = _run(tmp_path, "reference")
-    forks.clear()
-    parent = os.getpid()
-    real_evaluate = sweep.evaluate_grid
 
-    def evaluate_grid(params, psi_axis, theta_axis, *args):
-        if os.getpid() != parent:
-            if fault == "raises":
-                raise ValueError("child fault")
-            # a table of fewer cells: the child exits 0 after too few bytes
-            return real_evaluate(params, psi_axis[:2], theta_axis[:2], *args)
-        return real_evaluate(params, psi_axis, theta_axis, *args)
+    def no_fork():
+        raise AssertionError("the comparison forked")
 
-    monkeypatch.setattr(sweep, "evaluate_grid", evaluate_grid)
-    out, _ = _run(tmp_path, "fallback")
-    assert len(forks) == 1
-    _assert_reaped(forks)
+    real_solve = kernel._solve_closure
+    solved = []
+
+    def solve_closure(params, ry, rx):
+        solved.append(len(rx))
+        return real_solve(params, ry, rx)
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(kernel, "_solve_closure", solve_closure)
+    # another grid first, so that z3 cannot take its closure from the kept table
+    kernel.evaluate_grid(default_params(Variant.Z3_PRS), *tilt_axes(3, 10.0))
+    solved.clear()
+    out, _ = _run(tmp_path, "one-process")
     _assert_same_bundle(reference, out)
+    # one grid's worth of blocks: a3 takes z3's closure from the kept table
+    assert sum(solved) == SMALL.grid_n**2
 
 
-def test_a3_error_is_raised_with_no_child_left(monkeypatch, tmp_path, forks):
+def test_a3_error_is_raised_unchanged(monkeypatch, tmp_path):
     sentinel = ValueError("a3 grid failed")
     real_evaluate = sweep.evaluate_grid
 
@@ -329,37 +294,8 @@ def test_a3_error_is_raised_with_no_child_left(monkeypatch, tmp_path, forks):
     with pytest.raises(ValueError) as caught:
         _run(tmp_path, "bundle")
     assert caught.value is sentinel
-    assert len(forks) == 1
-    _assert_reaped(forks)
-
-
-def test_parent_error_kills_and_reaps_the_child(monkeypatch, tmp_path, forks):
-    real_evaluate = sweep.evaluate_grid
-    real_waitpid = os.waitpid
-    endings = []
-
-    def evaluate_grid(params, *args):
-        if params.variant is Variant.Z3_PRS:
-            raise KeyboardInterrupt
-        time.sleep(60.0)  # the child is still running when the parent fails
-        return real_evaluate(params, *args)
-
-    def waitpid(pid, options):
-        reaped = real_waitpid(pid, options)
-        endings.append(reaped)
-        return reaped
-
-    monkeypatch.setattr(sweep, "evaluate_grid", evaluate_grid)
-    monkeypatch.setattr(os, "waitpid", waitpid)
-    start = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        _run(tmp_path, "bundle")
-    assert time.monotonic() - start < 30.0
-    assert len(forks) == 1
-    [(pid, wait_status)] = endings
-    assert pid == forks[0]
-    assert os.WIFSIGNALED(wait_status) and os.WTERMSIG(wait_status) == signal.SIGKILL
-    _assert_reaped(forks)
+    # both grids are evaluated before any file is written
+    assert list((tmp_path / "bundle").iterdir()) == []
 
 
 @pytest.mark.parametrize(
