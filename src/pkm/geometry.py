@@ -200,7 +200,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Pose:
     """Platform position p and orientation R, world frame."""
 
@@ -223,15 +223,31 @@ class Pose:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "R", R)
 
+    def __reduce__(self):
+        # copies and unpickled poses pass the checks again, which make their arrays read-only
+        return Pose, (self.p, self.R)
+
 
 def pose_from_tilts(
     psi: float, theta: float, z: float, x: float = 0.0, y: float = 0.0, gamma: float = 0.0
 ) -> Pose:
-    """Pose with commanded tilts/heave and explicit parasitic components."""
-    return Pose(p=np.array([x, y, z]), R=orientation_from_tilts(psi, theta, gamma))
+    """Pose with commanded tilts/heave and explicit parasitic components.
+
+    R, a product of three rotations by finite angles, passes Pose's 1e-12
+    tests by orders of magnitude, so finite floats skip them; the rest goes through Pose.
+    """
+    p = np.array([x, y, z])
+    R = orientation_from_tilts(psi, theta, gamma)
+    if p.dtype != float or not all(map(math.isfinite, p.tolist() + R.ravel().tolist())):
+        return Pose(p=p, R=R)
+    pose = object.__new__(Pose)
+    for name, value in (("p", p), ("R", R)):
+        value.setflags(write=False)
+        object.__setattr__(pose, name, value)
+    return pose
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TaskRate:
     """Platform twist: translational rate v (mm/s) and angular rate w (rad/s)."""
 
@@ -247,6 +263,9 @@ class TaskRate:
             raise ValueError("TaskRate entries must be finite")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
+
+    def __reduce__(self):
+        return TaskRate, (self.v, self.w)
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.v, self.w])

@@ -25,7 +25,7 @@ _EYE6 = np.eye(6)
 _EYE6.setflags(write=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class JacobianSet:
     """G = [Ga | Gc], the feasible-space projector P and conditioning data."""
 
@@ -182,26 +182,42 @@ def _projector(U: np.ndarray) -> np.ndarray:
     return _EYE6 - range_basis @ range_basis.T
 
 
+def _finite_matrix(name: str, a, shape: tuple[int, int]) -> np.ndarray:
+    """a as a float array, checked before any LAPACK call: a matrix of another
+    shape gives a wrong rank, and a non-finite entry can hang the SVD."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} entries must be finite")
+    return a
+
+
 def constraint_projector(Gc: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the twists doing no work on the constraints.
 
     Computed as I - Gc @ pinv(Gc) through a rank-revealing decomposition;
-    raises RankDeficiency when the three constraint wrenches degenerate.
+    raises RankDeficiency when the three constraint wrenches degenerate,
+    and ValueError when Gc is not a finite 6 x 3 matrix.
     """
-    Gc = np.asarray(Gc, dtype=float)
+    Gc = _finite_matrix("Gc", Gc, (6, 3))
     U, rank = _constraint_rank(Gc, Gc, 1.0)
     raise_first((rank,))
     return _projector(U)
 
 
 def project_task_rate(P: np.ndarray, xdot) -> TaskRate:
-    """Feasible component of an arbitrary commanded twist."""
+    """Feasible component of an arbitrary commanded twist.
+
+    Raises ValueError when P is not a finite 6 x 6 matrix or xdot not a 6-vector.
+    """
+    P = _finite_matrix("P", P, (6, 6))
     if isinstance(xdot, TaskRate):
         xdot = xdot.as_vector()
     xdot = np.asarray(xdot, dtype=float)
     if xdot.shape != (6,):
         raise ValueError("task rate vector must have shape (6,)")
-    return TaskRate.from_vector(np.asarray(P) @ xdot)
+    return TaskRate.from_vector(P @ xdot)
 
 
 def homogenized_jacobian(
@@ -216,9 +232,11 @@ def homogenized_jacobian(
     factors manufactures spurious rank loss where the warped null space
     happens to graze null(Ga^T).  kappa is invariant to the basis choice,
     so the comparison between machines is well defined even though the
-    characteristic length itself is a modelling choice.
+    characteristic length itself is a modelling choice.  Raises ValueError
+    when Ga or Gc is not a finite 6 x 3 matrix.
     """
-    G = np.concatenate((Ga, Gc), axis=1, dtype=float)
+    Ga, Gc = (_finite_matrix(name, a, (6, 3)) for name, a in (("Ga", Ga), ("Gc", Gc)))
+    G = np.concatenate((Ga, Gc), axis=1)
     J, kappa, checks = _homogenize(G, params.r_platform)
     raise_first(checks)
     return J, float(kappa)

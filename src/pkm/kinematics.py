@@ -29,7 +29,7 @@ CONSTRAINT_TOL = 1e-6
 HINGE_TOL = 1e-9  # mm; a strut shorter than this has its joint on the base hinge
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class LimbState:
     """Resolved geometry of one limb at a given pose.
 

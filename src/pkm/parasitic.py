@@ -32,7 +32,7 @@ CLOSURE_MAX_ITER = 100
 DAMPING_TRIES = 9  # the full Newton step, then up to 8 halvings
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ParasiticCoupling:
     """C maps independent rates (w_x, w_y) to dependent rates (v_x, v_y, w_z)."""
 
@@ -41,14 +41,14 @@ class ParasiticCoupling:
     C: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ParasiticShift:
     x: float
     y: float
     gamma: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class CompatiblePose:
     """A pose on the constraint manifold, keyed by its commanded coordinates."""
 
@@ -154,8 +154,9 @@ def solve_loop_closure(
             break
         try:
             # the solve is odd in its right-hand side, bit for bit, so u - scale * step
-            # is the Newton trial u + scale * solve(C1, -residual)
-            step = np.linalg.solve(np.reshape(C1, (3, 3)), residual).tolist()
+            # is the Newton trial u + scale * solve(C1, -residual); np.reshape
+            # of a list would cost three times more, in numpy's dispatch wrapper
+            step = np.linalg.solve(np.array(C1).reshape(3, 3), residual).tolist()
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"closure Jacobian singular: {exc}", residual=norm)
         scale = 1.0

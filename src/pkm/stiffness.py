@@ -21,7 +21,7 @@ from .kinematics import LimbState, inverse_kinematics
 STIFFNESS_FIELDS = ("kpx", "kpy", "kpz", "kax", "kay", "kaz")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LimbStiffness:
     """Scalar actuation and constraint spring rates of one limb."""
 
@@ -29,7 +29,7 @@ class LimbStiffness:
     k_c: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class StiffnessResult:
     K: np.ndarray
     kpx: float
@@ -45,7 +45,7 @@ class StiffnessResult:
         return {name: getattr(self, name) for name in STIFFNESS_FIELDS}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Deflection:
     """Platform deflection under a quasi-static load and the joint motions it implies."""
 

@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pkm
 from pkm import Variant, default_params, home_height, kernel
 from pkm.parasitic import solve_loop_closure
 
@@ -31,6 +35,15 @@ def a3_params():
 @pytest.fixture(params=[Variant.Z3_PRS, Variant.A3_RPS], ids=["z3", "a3"])
 def params(request):
     return default_params(request.param)
+
+
+def child_env() -> dict:
+    """This environment with the pkm sources under test first on PYTHONPATH,
+    for a child interpreter."""
+    env = dict(os.environ)
+    src = str(Path(pkm.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 def random_compatible_pose(params, rng, max_tilt_deg=40.0, dz_range=(-100.0, 50.0)):

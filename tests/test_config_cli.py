@@ -1,5 +1,4 @@
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +20,7 @@ from pkm.errors import ConfigError
 from pkm.geometry import Variant, default_params, home_height
 from pkm.grids import read_map_csv
 
-from conftest import map_sweep_commands
+from conftest import child_env, map_sweep_commands
 
 SUBCOMMANDS = (
     "ik",
@@ -350,9 +349,7 @@ def test_compare_as_a_user_runs_it_warns_nothing(tmp_path):
     # any warning from the comparison, such as a ResourceWarning for a file
     # left open or a numpy DeprecationWarning, fails the run under -W error
     # or shows on stderr
-    env = dict(os.environ)
-    src = str(Path(pkm.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env = child_env()
     out = tmp_path / "bundle"
     run = subprocess.run(
         [sys.executable, "-W", "error", "-m", "pkm.cli", "compare", "--grid", "9", "--out", str(out)],
@@ -438,9 +435,7 @@ def test_build_parser_is_fresh_and_apart_from_main(capsys):
 
 
 def test_cli_import_builds_no_parser():
-    env = dict(os.environ)
-    src = str(Path(pkm.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env = child_env()
     code = "import pkm.cli; print(pkm.cli._parser.cache_info().currsize)"
     run = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60

@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pkm.geometry import (
     MAX_LENGTH,
@@ -115,6 +115,58 @@ def test_pose_arrays_are_readonly():
         pose.p[0] = 1.0
     with pytest.raises(ValueError):
         pose.R[0, 0] = 1.0
+
+
+edge_values = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300])
+finite_angles = st.one_of(edge_values, st.floats(allow_nan=False, allow_infinity=False))
+finite_offsets = st.one_of(edge_values, st.floats(min_value=-1e308, max_value=1e308))
+nonfinite = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def checked_pose(psi, theta, z, x, y, gamma):
+    """pose_from_tilts's arguments through Pose and all of its checks."""
+    return Pose(p=np.array([x, y, z]), R=orientation_from_tilts(psi, theta, gamma))
+
+
+def value_error(build, *args) -> str:
+    with pytest.raises(ValueError) as caught:
+        build(*args)
+    return str(caught.value)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(finite_angles, finite_angles, finite_offsets, finite_offsets, finite_offsets, finite_angles)
+def test_pose_from_tilts_matches_the_checked_pose_bit_for_bit(psi, theta, z, x, y, gamma):
+    # the trusted pose skips Pose's tests: it must hold the same bits and pass them
+    pose = pose_from_tilts(psi, theta, z, x=x, y=y, gamma=gamma)
+    checked = checked_pose(psi, theta, z, x, y, gamma)
+    for mine, want in ((pose.p, checked.p), (pose.R, checked.R)):
+        assert mine.dtype == want.dtype and mine.shape == want.shape
+        assert mine.tobytes() == want.tobytes()
+        assert not mine.flags.writeable and not want.flags.writeable
+    again = Pose(p=pose.p, R=pose.R)
+    assert again.p.tobytes() == pose.p.tobytes() and again.R.tobytes() == pose.R.tobytes()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.lists(finite_offsets, min_size=6, max_size=6),
+    st.sets(st.integers(0, 5), min_size=1),
+    nonfinite,
+)
+def test_pose_from_tilts_raises_the_checked_pose_error(args, spoiled, value):
+    for k in spoiled:
+        args[k] = value
+    psi, theta, z, x, y, gamma = args
+    assert value_error(pose_from_tilts, psi, theta, z, x, y, gamma) == value_error(
+        checked_pose, psi, theta, z, x, y, gamma
+    )
+
+
+def test_pose_from_tilts_converts_integer_arguments():
+    pose = pose_from_tilts(0, 0, 600, x=1, y=2)
+    assert pose.p.dtype == float and pose.p.tolist() == [1.0, 2.0, 600.0]
+    assert not pose.p.flags.writeable
 
 
 def test_params_validation():

@@ -1,9 +1,11 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import random_compatible_pose
+from conftest import child_env, random_compatible_pose
 from oracles import (
     assert_wrench_columns_close,
     constraint_rank_reference,
@@ -194,6 +196,71 @@ def test_homogenized_jacobian_shape_and_convention(params):
     J, kappa = homogenized_jacobian(jac.Ga, jac.Gc, params)
     assert np.max(np.abs(J - jac.J_hom)) < 1e-12
     assert kappa == jac.kappa
+
+
+@pytest.mark.parametrize("shape", [(6, 2), (6, 4), (5, 3), (3, 6), (18,)], ids=str)
+def test_wrench_column_helpers_reject_other_shapes(a3_params, rng, shape):
+    # (6, 2) and (6, 4) used to give a rank-3 projector, the others numpy's broadcast error
+    jac = build_jacobian(a3_params, random_compatible_pose(a3_params, rng).pose)
+    bad = rng.standard_normal(shape)
+    with pytest.raises(ValueError, match=r"^Gc must have shape \(6, 3\), got"):
+        constraint_projector(bad)
+    with pytest.raises(ValueError, match=r"^Ga must have shape \(6, 3\), got"):
+        homogenized_jacobian(bad, jac.Gc, a3_params)
+    with pytest.raises(ValueError, match=r"^Gc must have shape \(6, 3\), got"):
+        homogenized_jacobian(jac.Ga, bad, a3_params)
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (6, 3), (3, 6), (36,), (6, 6, 1)], ids=str)
+def test_project_task_rate_rejects_other_projector_shapes(shape):
+    with pytest.raises(ValueError, match=r"^P must have shape \(6, 6\), got"):
+        project_task_rate(np.zeros(shape), np.ones(6))
+
+
+NONFINITE_CALLS = """
+import itertools
+
+import numpy as np
+from pkm import Variant, build_jacobian, default_params, home_pose
+from pkm.jacobian import constraint_projector, homogenized_jacobian, project_task_rate
+
+params = default_params(Variant.A3_RPS)
+jac = build_jacobian(params, home_pose(params))
+calls = [
+    ("Gc", jac.Gc, constraint_projector),
+    ("Ga", jac.Ga, lambda Ga: homogenized_jacobian(Ga, jac.Gc, params)),
+    ("Gc", jac.Gc, lambda Gc: homogenized_jacobian(jac.Ga, Gc, params)),
+    ("P", jac.P, lambda P: project_task_rate(P, np.ones(6))),
+]
+for value, index in itertools.product((np.inf, -np.inf, np.nan), ((0, 0), (1, 2))):
+    for name, good, call in calls:
+        bad = np.array(good)
+        bad[index] = value
+        try:
+            call(bad)
+            print(name, "accepted")
+        except ValueError as exc:
+            print(name, exc)
+        except Exception as exc:
+            print(name, type(exc).__name__)
+"""
+
+
+def test_wrench_column_helpers_reject_nonfinite_entries():
+    # an inf in Gc[0, 0] used to hang the rank gate's SVD, so the calls run
+    # in a child process that the timeout stops; elsewhere an inf was accepted
+    # or raised LinAlgError, and so did a NaN
+    run = subprocess.run(
+        [sys.executable, "-c", NONFINITE_CALLS],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+        check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    names = ["Gc", "Ga", "Gc", "P"] * 6
+    assert run.stdout.splitlines() == [f"{name} {name} entries must be finite" for name in names]
 
 
 def kernel_constraint_stacks(monkeypatch, params, grid_n, tilt_max_deg):
