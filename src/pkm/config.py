@@ -11,7 +11,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .geometry import MechanismParams, StiffnessCoeffs, Variant
+from .geometry import MAX_TILT_DEG, MechanismParams, StiffnessCoeffs, Variant
 
 # config key -> dataclass field, one table per dataclass the keys feed
 _PARAMS_FIELDS = {
@@ -45,8 +45,8 @@ class SweepSettings:
             raise ConfigError(f"grid_n must be an integer, got {self.grid_n!r}") from None
         if grid_n < 2:
             raise ConfigError("grid_n must be at least 2")
-        if not (0.0 < self.tilt_max_deg <= 60.0):
-            raise ConfigError("tilt_max_deg must lie in (0, 60]")
+        if not (0.0 < self.tilt_max_deg <= MAX_TILT_DEG):
+            raise ConfigError(f"tilt_max_deg must lie in (0, {MAX_TILT_DEG:g}]")
         if not (0.0 < self.kappa_min_inv < 1.0):
             raise ConfigError("kappa_min_inv must lie in (0, 1)")
         if self.z_mm is not None and not math.isfinite(self.z_mm):

@@ -15,15 +15,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+
+def _freeze(array: np.ndarray) -> np.ndarray:
+    """array itself, made read-only in place: for an array the library built, no copy."""
+    array.setflags(write=False)
+    return array
+
+
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 DEFAULT_AZIMUTHS = (0.0, TWO_THIRDS_PI, 2.0 * TWO_THIRDS_PI)
 
-Z_AXIS = np.array([0.0, 0.0, 1.0])
-Z_AXIS.setflags(write=False)
-_EYE3 = np.eye(3)
-_EYE3.setflags(write=False)
+_EYE3 = _freeze(np.eye(3))
 # mm; home_height squares the lengths, which overflows above about 1.3e154
 MAX_LENGTH = 1e150
+# degrees; the largest commanded tilt that a pose query or sweep accepts
+MAX_TILT_DEG = 60.0
 # smallest stiffness coefficient: the series sums take reciprocals, which
 # overflow for denormal coefficients
 MIN_STIFFNESS = 1e-300
@@ -89,14 +95,12 @@ class StiffnessCoeffs:
 
 @dataclass(frozen=True, eq=False)
 class LimbLayout:
-    """Per limb, read-only: cos and sin of the azimuth xi, rot_z(xi) (rz),
-    the spherical joint in the platform frame (body), the base point
-    (anchor), and the limb-plane normal, which is the revolute axis
-    (tangent)."""
+    """Per limb, read-only: cos and sin of the azimuth xi, the spherical
+    joint in the platform frame (body), the base point (anchor), and the
+    limb-plane normal, which is the revolute axis (tangent)."""
 
     cos: np.ndarray
     sin: np.ndarray
-    rz: np.ndarray
     body: np.ndarray
     anchor: np.ndarray
     tangent: np.ndarray
@@ -148,16 +152,15 @@ class MechanismParams:
     @functools.cached_property
     def layout(self) -> LimbLayout:
         """The limb layout of this machine, built once from its azimuths."""
-        cos, sin = (_readonly([f(xi) for xi in self.azimuths]) for f in (math.cos, math.sin))
+        cos, sin = (_frozen([f(xi) for xi in self.azimuths]) for f in (math.cos, math.sin))
         unit = np.stack((cos, sin, np.zeros(3)), -1)
         tangent = np.stack((-sin, cos, np.zeros(3)), -1)
         return LimbLayout(
             cos,
             sin,
-            _readonly([rot_z(xi) for xi in self.azimuths]),
-            _readonly(self.r_platform * unit),
-            _readonly(self.r_base * unit),
-            _readonly(tangent),
+            _frozen(self.r_platform * unit),
+            _frozen(self.r_base * unit),
+            _frozen(tangent),
         )
 
     def __getstate__(self):
@@ -190,14 +193,12 @@ def _limb_row(limb: int) -> int:
     return limb - 1
 
 
-def limb_azimuth(params: MechanismParams, limb: int) -> float:
-    return params.azimuths[_limb_row(limb)]
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
+def _frozen(array) -> np.ndarray:
+    """array as read-only floats: itself if neither it nor the array it views is
+    writable, else a frozen copy."""
+    array = np.asarray(array, dtype=float)
+    viewed = array.base if isinstance(array.base, np.ndarray) else array
+    return _freeze(np.array(array)) if array.flags.writeable or viewed.flags.writeable else array
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -208,8 +209,8 @@ class Pose:
     R: np.ndarray
 
     def __post_init__(self):
-        p = _readonly(self.p)
-        R = _readonly(self.R)
+        p = _frozen(self.p)
+        R = _frozen(self.R)
         if p.shape != (3,) or R.shape != (3, 3):
             raise ValueError("Pose needs p of shape (3,) and R of shape (3, 3)")
         entries = R.ravel().tolist()
@@ -242,8 +243,7 @@ def pose_from_tilts(
         return Pose(p=p, R=R)
     pose = object.__new__(Pose)
     for name, value in (("p", p), ("R", R)):
-        value.setflags(write=False)
-        object.__setattr__(pose, name, value)
+        object.__setattr__(pose, name, _freeze(value))
     return pose
 
 
@@ -255,8 +255,8 @@ class TaskRate:
     w: np.ndarray
 
     def __post_init__(self):
-        v = _readonly(self.v)
-        w = _readonly(self.w)
+        v = _frozen(self.v)
+        w = _frozen(self.w)
         if v.shape != (3,) or w.shape != (3,):
             raise ValueError("TaskRate needs two 3-vectors")
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(w))):
@@ -286,11 +286,6 @@ def _attachments(params: MechanismParams, R: np.ndarray) -> np.ndarray:
 def platform_attachment(params: MechanismParams, R: np.ndarray, limb: int) -> np.ndarray:
     """Vector from the platform centre to the limb's spherical joint, world frame."""
     return _attachments(params, np.asarray(R))[_limb_row(limb)]
-
-
-def base_anchor(params: MechanismParams, limb: int) -> np.ndarray:
-    """Fixed base point of the limb (rail foot or hinge), world frame; read-only."""
-    return params.layout.anchor[_limb_row(limb)]
 
 
 def home_height(params: MechanismParams) -> float:

@@ -16,18 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import _freeze, _frozen
+
 
 def fmt12(value: float) -> str:
     return f"{value:.12g}"
-
-
-def _frozen(array) -> np.ndarray:
-    """array as read-only floats: itself if it is read-only already, else a frozen copy."""
-    array = np.asarray(array, dtype=float)
-    if array.flags.writeable:
-        array = array.copy()
-        array.setflags(write=False)
-    return array
 
 
 def check_axes(*axes: np.ndarray) -> None:
@@ -60,8 +53,7 @@ class SweepGrid:
         check_axes(psi, theta)
         if values.shape != (psi.size, theta.size):
             raise ValueError("field shape must be (len(psi_axis), len(theta_axis))")
-        mask = np.isfinite(values)
-        mask.setflags(write=False)
+        mask = _freeze(np.isfinite(values))
         object.__setattr__(self, "psi_axis", psi)
         object.__setattr__(self, "theta_axis", theta)
         object.__setattr__(self, "values", values)

@@ -14,15 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficiency, SingularConfiguration, SingularLimb, limb_by_limb, raise_first
-from .geometry import MechanismParams, Pose, TaskRate
+from .geometry import MechanismParams, Pose, TaskRate, _freeze
 from .kinematics import LimbState, inverse_kinematics
 
 MOMENT_CONVENTION = "moment = attachment x direction, about platform centre"
 SINGULAR_LIMB_TOL = 1e-9  # |l1 . actuated axis| below this is a singular limb
 RANK_TOL = 1e-10  # smallest/largest singular value of the constraint wrenches
 SINGULAR_TOL = 1e-12  # smallest/largest singular value of the homogenized Jacobian
-_EYE6 = np.eye(6)
-_EYE6.setflags(write=False)
+_EYE6 = _freeze(np.eye(6))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -163,15 +162,16 @@ def build_jacobian(
     rows = np.array([(s.attachment, s.l1, s.actuated, s.revolute) for s in states])
     G, J_hom, kappa, checks = _jacobian_stage(params, *rows.swapaxes(0, 1))
     raise_first(checks)
-    Gc = G[:, 3:]
-    U = np.linalg.svd(Gc, full_matrices=True)[0]  # splits constraint and feasible twists
+    # frozen before Ga, Gc and feasible_basis are taken as views, so those are read-only too
+    _freeze(G)
+    U = _freeze(np.linalg.svd(G[:, 3:], full_matrices=True)[0])  # constraint | feasible twists
     return JacobianSet(
         G=G,
         Ga=G[:, :3],
-        Gc=Gc,
-        P=_projector(U),
+        Gc=G[:, 3:],
+        P=_freeze(_projector(U)),
         feasible_basis=U[:, 3:],
-        J_hom=J_hom,
+        J_hom=_freeze(J_hom),
         kappa=float(kappa),
     )
 

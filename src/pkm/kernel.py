@@ -22,7 +22,7 @@ import numpy as np
 
 from . import jacobian, parasitic
 from .errors import CELL_ERRORS, CellStatus
-from .geometry import MechanismParams, home_height, rot_x, rot_y
+from .geometry import MechanismParams, _attachments, home_height, rot_x, rot_y
 from .grids import SweepGrid, check_axes
 from .kinematics import CONSTRAINT_TOL, _solve_limbs
 from .parasitic import CLOSURE_MAX_ITER, CLOSURE_TOL, DAMPING_TRIES
@@ -82,7 +82,7 @@ def _orientations(ry: np.ndarray, rx: np.ndarray, gamma: np.ndarray) -> np.ndarr
 
 def _closure_residual(params: MechanismParams, ry: np.ndarray, rx: np.ndarray, u: np.ndarray):
     """parasitic._closure_rows for every cell at its triple u: g_iy (N, 3) and C1 (N, 3, 3)."""
-    attachments = parasitic._attachments(params, _orientations(ry, rx, u[:, 2]))
+    attachments = _attachments(params, _orientations(ry, rx, u[:, 2]))
     return parasitic._closure_rows(params, attachments, u)
 
 
@@ -205,7 +205,7 @@ def _evaluate_cells(
     if not heaves:
         return
     # the parasitic triple does not depend on heave: one closure serves every offset
-    attachment = parasitic._attachments(params, _orientations(ry, rx, u[:, 2]))
+    attachment = _attachments(params, _orientations(ry, rx, u[:, 2]))
     lo, hi = params.stroke_limits()
     for k, z in enumerate(heaves):
         l1, length, actuated, ik_status = _inverse_kinematics(params, attachment, u, z, closure)

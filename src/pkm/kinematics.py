@@ -20,9 +20,11 @@ from .geometry import (
     Pose,
     Variant,
     _attachments,
+    _freeze,
     _limb_row,
     home_height,
     rot_y,
+    rot_z,
 )
 
 CONSTRAINT_TOL = 1e-6
@@ -113,11 +115,12 @@ def inverse_kinematics(
     """
     if not constraint_tol >= 0.0:
         raise ValueError(f"constraint_tol must be a non-negative length, got {constraint_tol!r}")
-    attachment = _attachments(params, pose.R)
+    attachment = _freeze(_attachments(params, pose.R))
     g, l1, length, actuated, checks = _solve_limbs(params, attachment + pose.p, constraint_tol)
     raise_first(checks)
     layout = params.layout
-    g = np.array(g).T
+    # each limb's rows are views of read-only stacks, like the layout's
+    g, l1, actuated = _freeze(np.array(g)).T, _freeze(l1), _freeze(actuated)
     rows = zip(layout.anchor, attachment, g, l1, length.tolist(), actuated, layout.tangent)
     return [LimbState(*row) for row in rows]
 
@@ -136,7 +139,7 @@ def _euler_yxz(R: np.ndarray) -> tuple[float, float, float]:
 
 def _home_distal_rotation(params: MechanismParams, limb: int) -> np.ndarray:
     theta2 = math.atan2(params.r_platform - params.r_base, home_height(params))
-    return params.layout.rz[_limb_row(limb)] @ rot_y(theta2)
+    return rot_z(params.azimuths[_limb_row(limb)]) @ rot_y(theta2)
 
 
 def _distal_rotation(params: MechanismParams, limb: int, l1: np.ndarray) -> np.ndarray:

@@ -15,9 +15,11 @@ import numpy as np
 
 from .errors import CouplingSingular, IntegrationDiverged, NoConvergence
 from .geometry import (
+    MAX_TILT_DEG,
     MechanismParams,
     Pose,
     _attachments,
+    _freeze,
     home_height,
     pose_from_tilts,
     rot_x,
@@ -25,8 +27,9 @@ from .geometry import (
     rot_z,
 )
 from .grids import SweepGrid
+from .kinematics import CONSTRAINT_TOL
 
-TILT_LIMIT = math.radians(60.0) + 1e-12
+TILT_LIMIT = math.radians(MAX_TILT_DEG) + 1e-12
 CLOSURE_TOL = 1e-10  # mm, on the largest tangential offset
 CLOSURE_MAX_ITER = 100
 DAMPING_TRIES = 9  # the full Newton step, then up to 8 halvings
@@ -73,14 +76,13 @@ def _constraint_rows(params: MechanismParams, attachments: np.ndarray) -> np.nda
 def coupling_matrices(params: MechanismParams, pose: Pose) -> ParasiticCoupling:
     """Expand the constraint rows into the dependent/independent rate split."""
     attachments = _attachments(params, pose.R)
-    C1 = _constraint_rows(params, attachments)
+    C1 = _freeze(_constraint_rows(params, attachments))
     az = attachments[..., 2]
-    C2 = np.stack((az * params.layout.cos, az * params.layout.sin), axis=-1)
+    C2 = _freeze(np.stack((az * params.layout.cos, az * params.layout.sin), axis=-1))
     det = np.linalg.det(C1)
     if abs(det) < 1e-9 * np.linalg.norm(C1, 2) ** 3:
         raise CouplingSingular(f"coupling system determinant {det:.3g} too small")
-    C = np.linalg.solve(C1, C2)
-    return ParasiticCoupling(C1=C1, C2=C2, C=C)
+    return ParasiticCoupling(C1=C1, C2=C2, C=_freeze(np.linalg.solve(C1, C2)))
 
 
 def _closure_rows(params: MechanismParams, attachments: np.ndarray, u: np.ndarray):
@@ -123,7 +125,8 @@ def _largest_magnitude(values) -> float:
 def _check_tilt_bounds(psi: float, theta: float) -> None:
     # negated, so that a NaN tilt fails too
     if not (abs(psi) <= TILT_LIMIT and abs(theta) <= TILT_LIMIT):
-        raise ValueError("tilt targets beyond 60 degrees are outside the supported range")
+        limit = f"{MAX_TILT_DEG:g} degrees"
+        raise ValueError(f"tilt targets beyond {limit} are outside the supported range")
 
 
 def solve_loop_closure(
@@ -141,8 +144,6 @@ def solve_loop_closure(
     where they cannot reach it.
     """
     _check_tilt_bounds(psi, theta)
-    if z is None:
-        z = home_height(params)
     # orientation_from_tilts, with the tilt rotations built once per solve
     ry, rx = rot_y(theta), rot_x(psi)
     u = (0.0, 0.0, 0.0)
@@ -176,10 +177,13 @@ def solve_loop_closure(
             f"no convergence after {CLOSURE_MAX_ITER} iterations (residual {norm:.3g} mm)",
             residual=norm,
         )
-    return _compatible_pose(psi, theta, z, u)
+    return _compatible_pose(params, psi, theta, z, u)
 
 
-def _compatible_pose(psi, theta, z, u) -> CompatiblePose:
+def _compatible_pose(params, psi, theta, z, u) -> CompatiblePose:
+    """The pose of the closure u = (x, y, gamma) at the tilts and heave z, home by default."""
+    if z is None:
+        z = home_height(params)
     pose = pose_from_tilts(psi, theta, z, x=u[0], y=u[1], gamma=u[2])
     return CompatiblePose(
         pose=pose,
@@ -255,8 +259,6 @@ def integrate_parasitic_path(
     that the limbs reach the pose.
     """
     _check_tilt_bounds(psi, theta)
-    if z is None:
-        z = home_height(params)
     try:
         steps = operator.index(steps)
     except TypeError:
@@ -283,9 +285,9 @@ def integrate_parasitic_path(
     u = (x, y, g)
     residual, _ = _closure_state(params, rot_y(theta), rot_x(psi), u)
     drift = _largest_magnitude(residual)
-    if drift > 1e-6:
+    if drift > CONSTRAINT_TOL:
         raise IntegrationDiverged(f"end-point constraint residual {drift:.3g} mm")
-    return _compatible_pose(psi, theta, z, u)
+    return _compatible_pose(params, psi, theta, z, u)
 
 
 def parasitic_map(

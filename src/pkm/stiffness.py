@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularStiffness
-from .geometry import MechanismParams, Pose
+from .geometry import MechanismParams, Pose, _freeze
 from .grids import SweepGrid
 from .jacobian import JacobianSet, build_jacobian
 from .kinematics import LimbState, inverse_kinematics
@@ -95,7 +95,7 @@ def assemble_stiffness(
     if jac is None:
         jac = build_jacobian(params, pose, states)
     rates = _limb_rates(params, np.array([state.l1 for state in states]))
-    K = (jac.G * rates) @ jac.G.T
+    K = _freeze((jac.G * rates) @ jac.G.T)
     k_a = params.stiffness.actuation
     kpx, kpy, kpz, kax, kay, kaz = K.diagonal().tolist()
     return StiffnessResult(
@@ -136,8 +136,8 @@ def deflection_under_load(result: StiffnessResult, wrench: np.ndarray) -> Deflec
     sigma = np.linalg.svd(K_ff, compute_uv=False).tolist()
     if not (sigma[-1] > 0.0 and sigma[0] / sigma[-1] <= 1e12):
         raise SingularStiffness("feasible-space stiffness block is numerically singular")
-    delta = basis @ np.linalg.solve(K_ff, basis.T @ wrench)
-    return Deflection(platform=delta, joints=result.jacobian.G.T @ delta)
+    delta = _freeze(basis @ np.linalg.solve(K_ff, basis.T @ wrench))
+    return Deflection(platform=delta, joints=_freeze(result.jacobian.G.T @ delta))
 
 
 def stiffness_map_rotational(

@@ -191,9 +191,16 @@ def _stats(grid: SweepGrid) -> dict:
     return {"min": float(valid.min()), "max": float(valid.max()), "mean": float(valid.mean())}
 
 
+def _home_index(axis: np.ndarray) -> int | None:
+    """The index of the axis's 0, within 1e-9 of its largest magnitude; None without one."""
+    i = int(np.argmin(np.abs(axis)))
+    return i if abs(axis[i]) <= 1e-9 * np.abs(axis).max() else None
+
+
 def _dominant_home_machine(tables) -> str:
-    psi_axis, theta_axis = tables["z3"].psi_axis, tables["z3"].theta_axis
-    i, j = int(np.argmin(np.abs(psi_axis))), int(np.argmin(np.abs(theta_axis)))
+    i, j = _home_index(tables["z3"].psi_axis), _home_index(tables["z3"].theta_axis)
+    if i is None or j is None:
+        return "undetermined"
     winners = set()
     for name in STIFFNESS_FIELDS:
         z3 = tables["z3"][name].values[i, j]

@@ -16,9 +16,9 @@ from pkm.config import (
     parse_config_text,
     sweep_settings_from_config,
 )
-from pkm.errors import ConfigError
-from pkm.geometry import Variant, default_params, home_height
-from pkm.grids import read_map_csv
+from pkm.errors import CellStatus, ConfigError
+from pkm.geometry import MAX_TILT_DEG, Variant, default_params, home_height
+from pkm.grids import read_map_csv, tilt_axes
 
 from conftest import child_env, map_sweep_commands
 
@@ -90,11 +90,21 @@ def test_sweep_settings_bounds():
         SweepSettings(grid_n=1)
     with pytest.raises(ConfigError):
         SweepSettings(tilt_max_deg=75.0)
+    with pytest.raises(ConfigError, match=r"tilt_max_deg must lie in \(0, 60\]"):
+        SweepSettings(tilt_max_deg=math.nextafter(MAX_TILT_DEG, math.inf))
     with pytest.raises(ConfigError):
         SweepSettings(kappa_min_inv=1.5)
     for z_mm in (math.nan, math.inf, -math.inf):
         with pytest.raises(ConfigError, match="z_mm must be finite"):
             SweepSettings(z_mm=z_mm)
+
+
+def test_the_tilt_limit_itself_is_accepted_end_to_end(params):
+    # SweepSettings and the closure's tilt check read one MAX_TILT_DEG
+    settings = SweepSettings(grid_n=3, tilt_max_deg=MAX_TILT_DEG)
+    table = kernel.evaluate_grid(params, *tilt_axes(settings.grid_n, settings.tilt_max_deg))
+    assert table.status.shape[:2] == (3, 3)
+    assert (table.status == CellStatus.OK).all()
 
 
 @pytest.mark.parametrize("grid_n", [45.0, 2.5, "45", None, [45]], ids=repr)

@@ -14,11 +14,9 @@ from pkm.geometry import (
     StiffnessCoeffs,
     TaskRate,
     Variant,
-    base_anchor,
     default_params,
     home_height,
     home_pose,
-    limb_azimuth,
     orientation_from_tilts,
     platform_attachment,
     pose_from_tilts,
@@ -68,18 +66,11 @@ def test_attachment_rotates_with_platform(z3_params, rng):
     assert a == pytest.approx(R @ platform_attachment(z3_params, np.eye(3), 2), abs=1e-12)
 
 
-def test_base_anchors(params):
-    for limb in (1, 2, 3):
-        anchor = base_anchor(params, limb)
-        assert np.linalg.norm(anchor) == pytest.approx(350.0, rel=1e-14)
-        assert anchor[2] == 0.0
-
-
-def test_limb_azimuth_rejects_bad_index(params):
-    with pytest.raises(ValueError):
-        limb_azimuth(params, 0)
-    with pytest.raises(ValueError):
-        limb_azimuth(params, 4)
+def test_platform_attachment_rejects_bad_index(params):
+    with pytest.raises(ValueError, match="limb index must be 1, 2 or 3, got 0"):
+        platform_attachment(params, np.eye(3), 0)
+    with pytest.raises(ValueError, match="limb index must be 1, 2 or 3, got 4"):
+        platform_attachment(params, np.eye(3), 4)
 
 
 def test_home_pose(params):
@@ -115,6 +106,19 @@ def test_pose_arrays_are_readonly():
         pose.p[0] = 1.0
     with pytest.raises(ValueError):
         pose.R[0, 0] = 1.0
+
+
+def test_pose_copies_an_input_unless_nothing_can_write_to_it():
+    frozen = np.zeros(3)
+    frozen.setflags(write=False)
+    assert Pose(p=frozen, R=np.eye(3)).p is frozen
+    # a read-only view of a writable array would let the pose change under it
+    owner = np.zeros(3)
+    view = owner[:]
+    view.setflags(write=False)
+    pose = Pose(p=view, R=np.eye(3))
+    owner[0] = 1.0
+    assert pose.p.tolist() == [0.0, 0.0, 0.0] and not pose.p.flags.writeable
 
 
 edge_values = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300])
@@ -191,30 +195,9 @@ def test_params_reject_lengths_beyond_max(name):
 
 def test_layout_arrays_are_readonly(params):
     layout = params.layout
-    for name in ("cos", "sin", "rz", "body", "anchor", "tangent"):
+    for name in ("cos", "sin", "body", "anchor", "tangent"):
         with pytest.raises(ValueError):
             getattr(layout, name)[0] = 1.0
-
-
-OFF_STOCK = {"r_platform": 180.0, "azimuths": (0.1, 2.2, 4.0)}
-
-
-@pytest.mark.parametrize(
-    "params",
-    [
-        default_params(Variant.Z3_PRS),
-        default_params(Variant.A3_RPS),
-        MechanismParams(Variant.Z3_PRS, **OFF_STOCK),
-        MechanismParams(Variant.A3_RPS, **OFF_STOCK),
-    ],
-    ids=["z3", "a3", "z3-off-stock", "a3-off-stock"],
-)
-def test_layout_rz_is_rot_z_of_each_azimuth(params):
-    rz = params.layout.rz
-    assert rz.shape == (3, 3, 3) and not rz.flags.writeable
-    for limb, xi in enumerate(params.azimuths):
-        # bit for bit: inverse kinematics reads it in place of rot_z(xi)
-        assert rz[limb].tobytes() == rot_z(xi).tobytes()
 
 
 def test_layout_is_built_from_math_trig():

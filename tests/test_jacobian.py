@@ -21,7 +21,6 @@ from pkm.geometry import (
     Pose,
     TaskRate,
     Variant,
-    Z_AXIS,
     default_params,
     home_pose,
     platform_attachment,
@@ -159,7 +158,7 @@ def test_singular_limb_detection(z3_params):
         g=np.array([-100.0, 0.0, 0.0]),
         l1=horizontal,
         actuated_length=0.0,
-        actuated=Z_AXIS,
+        actuated=np.array([0.0, 0.0, 1.0]),
         revolute=np.array([0.0, 1.0, 0.0]),
     )
     with pytest.raises(SingularLimb):

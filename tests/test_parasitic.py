@@ -251,7 +251,7 @@ def test_integration_step_count_validation(params):
 
 
 def test_tilt_bounds_enforced(params):
-    for beyond in (math.radians(61.0), math.nan):
+    for beyond in (math.radians(61.0), parasitic.TILT_LIMIT + 1e-12, math.nan):
         with pytest.raises(ValueError):
             solve_loop_closure(params, beyond, 0.0)
         with pytest.raises(ValueError):

@@ -10,14 +10,20 @@ from pkm.stiffness import STIFFNESS_FIELDS
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
+def start_script(name: str, *args: str) -> subprocess.Popen:
+    return subprocess.Popen(
         [sys.executable, str(SCRIPTS / name), *args],
-        capture_output=True,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
         text=True,
         env=child_env(),
-        check=False,
     )
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    child = start_script(name, *args)
+    stdout, stderr = child.communicate(timeout=600)
+    return subprocess.CompletedProcess(child.args, child.returncode, stdout, stderr)
 
 
 def test_home_report_ties_only_kaz():
@@ -38,3 +44,20 @@ def test_scalar_digest_is_repeatable():
         assert re.fullmatch(r"[0-9a-f]{64}\n", run.stdout)
         assert "queries solved" in run.stderr
     assert runs[0].stdout == runs[1].stdout
+
+
+def test_output_digest_is_repeatable(tmp_path):
+    # side by side, since each run takes about 2 s; one keeps its trees
+    kept = tmp_path / "kept"
+    children = [start_script("output_digest.py", "--out", str(kept))]
+    children.append(start_script("output_digest.py"))
+    runs = [(*child.communicate(timeout=600), child.returncode) for child in children]
+    for stdout, stderr, code in runs:
+        assert code == 0, stderr
+        names = [line.split("  ")[1] for line in stdout.splitlines()]
+        assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in stdout.splitlines())
+        assert len(names) == 5 + 12 + 1 + 1 and names[-1] == "all"
+    assert runs[0][0] == runs[1][0]
+    assert {path.name for path in kept.iterdir() if path.is_dir()} == set(names[:-1])
+    console = (kept / "compare_21" / "compare.console").read_text(encoding="utf-8")
+    assert console.startswith("exit 0\n") and "to <tree>/compare\n" in console

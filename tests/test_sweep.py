@@ -220,6 +220,24 @@ def test_height_flags_need_two_offsets(tmp_path):
         assert f"\n{name}: undetermined\n" in text
 
 
+@pytest.mark.parametrize("grid_n, flag", [(2, "undetermined"), (3, "z3"), (4, "undetermined")])
+def test_home_flag_needs_a_home_cell(tmp_path, grid_n, flag):
+    # an even grid has no cell at (0, 0): at 4 points the nearest cells sit at +/-13.3 deg
+    out, report = _run(tmp_path, "grid", sweep=SweepSettings(grid_n=grid_n, tilt_max_deg=40.0))
+    assert report.flags["stiffness_home_dominant"] == flag
+    text = (out / "report.txt").read_text(encoding="utf-8")
+    assert f"\nstiffness_home_dominant: {flag}\n" in text
+
+
+@pytest.mark.parametrize("grid_n", [3, 13, 21, 23, 45, 121, 155])
+@pytest.mark.parametrize("max_deg", [40.0, 48.0, 60.0])
+def test_odd_tilt_axes_have_a_home_cell_and_even_ones_none(grid_n, max_deg):
+    # linspace leaves 1.24e-16 rad at the centre of some odd axes (45 points
+    # at +/-60 deg, 155 at +/-40 deg): the 1e-9 relative floor takes it for 0
+    assert sweep._home_index(tilt_axes(grid_n, max_deg)[0]) == grid_n // 2
+    assert sweep._home_index(tilt_axes(grid_n + 1, max_deg)[0]) is None
+
+
 def test_stiffness_parasitic_csv_is_the_rotational_rows_under_its_note(tmp_path):
     out = tmp_path / "short"
     run_comparison(

@@ -41,14 +41,34 @@ PER_POSE_TYPES = (
 )
 
 
+LOAD = np.array([10.0, -20.0, 30.0, 1e3, -2e3, 5e2])
+
+
 def one_query(params):
     """The pose_queries chain at one pose: (cp, states, jac, result, deflection)."""
     cp = solve_loop_closure(params, 0.3, -0.2)
     states = inverse_kinematics(params, cp.pose)
     jac = build_jacobian(params, cp.pose, states)
     result = assemble_stiffness(params, cp.pose, states, jac)
-    deflection = deflection_under_load(result, np.array([10.0, -20.0, 30.0, 1e3, -2e3, 5e2]))
-    return cp, states, jac, result, deflection
+    return cp, states, jac, result, deflection_under_load(result, LOAD)
+
+
+def reachable(root):
+    """Every object reachable from root through dataclass fields, tuples and
+    lists, and every array through its base, each once."""
+    seen, stack = set(), [root]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        yield item
+        if dataclasses.is_dataclass(item):
+            stack.extend(getattr(item, f.name) for f in dataclasses.fields(item))
+        elif isinstance(item, (tuple, list)):
+            stack.extend(item)
+        elif isinstance(item, np.ndarray) and item.base is not None:
+            stack.append(item.base)
 
 
 @pytest.fixture
@@ -133,6 +153,8 @@ def test_hand_built_limb_states_feed_build_jacobian(a3_params):
         for s in states
     ]
     assert same(build_jacobian(a3_params, cp.pose, by_hand), jac)
+    # the caller's own objects, unconverted and not frozen
+    assert all(type(state.l1) is list for state in by_hand)
 
 
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
@@ -140,18 +162,29 @@ def test_no_pkm_object_of_a_query_has_a_dict(variant):
     # what pose_queries keeps of a query; a per-pose type added without
     # slots=True fails here
     cp, _, _, result, deflection = one_query(default_params(variant))
-    seen, stack, kinds = set(), [(cp, result, deflection)], set()
-    while stack:
-        item = stack.pop()
-        if id(item) in seen:
-            continue
-        seen.add(id(item))
+    kinds = set()
+    for item in reachable((cp, result, deflection)):
         if type(item).__module__.startswith("pkm"):
             kinds.add(type(item))
             assert not hasattr(item, "__dict__"), type(item).__name__
-        if dataclasses.is_dataclass(item):
-            stack.extend(getattr(item, f.name) for f in dataclasses.fields(item))
-        elif isinstance(item, (tuple, list)):
-            stack.extend(item)
     assert {CompatiblePose, Pose, ParasiticShift, StiffnessResult, JacobianSet} <= kinds
     assert {LimbStiffness, Deflection} <= kinds
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_every_array_a_query_returns_is_read_only(variant):
+    params = default_params(variant)
+    cp, states, jac, result, deflection = one_query(params)
+    coupling = coupling_matrices(params, cp.pose)
+    rate = project_task_rate(jac.P, np.arange(6.0))
+    roots = (cp, states, jac, result, deflection, coupling, rate)
+    arrays = [item for item in reachable(roots) if isinstance(item, np.ndarray)]
+    # 2 pose; 6 rows per limb and the 6 stacks they view (4 from IK, the
+    # layout's anchor and tangent); 6 Jacobian fields and U; K; 2 deflection;
+    # 3 coupling; 2 rate
+    assert len(arrays) == 2 + 3 * 6 + 6 + 7 + 1 + 2 + 3 + 2
+    assert [a for a in arrays if a.flags.writeable] == []
+    with pytest.raises(ValueError, match="read-only"):
+        result.jacobian.G[:, :3] *= 0
+    # a later solve on the same result still sees the stiffness it was built with
+    assert same(deflection_under_load(result, LOAD), deflection)
