@@ -3,6 +3,8 @@
 import enum
 import functools
 
+import numpy as np
+
 
 class PkmError(Exception):
     """Base class for all package-specific failures."""
@@ -70,6 +72,19 @@ def raise_first(checks) -> None:
             raise error(message())
 
 
+def first_failure(status: np.ndarray, checks) -> np.ndarray:
+    """status with each OK cell set to the code of its first failed check:
+    raise_first for a stack of grid cells, checks a shared stage's
+    (failed (N,), error class, message), in order."""
+    status = status.copy()
+    # no pass when nothing failed; count_nonzero, unlike any(), runs no ufunc
+    # reduction, whose code pages would add to a map run's peak memory
+    if any(np.count_nonzero(failed) for failed, _, _ in checks):
+        for failed, error, _ in checks:
+            status[(status == CellStatus.OK) & failed] = _CODES[error]
+    return status
+
+
 # failures that leave one grid cell empty instead of stopping a sweep,
 # in the order of their CellStatus codes
 CELL_ERRORS = (
@@ -92,3 +107,7 @@ class CellStatus(enum.IntEnum):
     SINGULAR_LIMB = 4
     SINGULAR_CONFIGURATION = 5
     RANK_DEFICIENCY = 6
+
+
+# the status code of each of CELL_ERRORS
+_CODES = {error: CellStatus(code) for code, error in enumerate(CELL_ERRORS, start=1)}

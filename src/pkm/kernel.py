@@ -2,16 +2,16 @@
 
 Every tilt grid runs the chain of the scalar single-pose functions
 (solve_loop_closure, inverse_kinematics, build_jacobian, assemble_stiffness)
-on blocks of whole psi rows at once.  Each stage takes (N, ...) arrays with
-one entry per cell, applies the scalar function's arithmetic and checks in
-the same order, and records in a CellStatus code where the scalar function
-raises one of CELL_ERRORS.  The IK stage, the Jacobian stage and the limb
-spring rates are the very functions the scalar chain runs on one pose.
-Every stage computes every cell of a block, and its results count only
-where the status is still OK.  The last table is kept, and the next call
-on the same grid takes its closure from it: the closure does not depend
-on the head, the heave or the map.  The scalar functions stay the public
-API and the reference the kernel is tested against.
+on blocks of whole psi rows at once.  Each batched stage lives beside its
+scalar twin and takes (N, ...) arrays with one entry per cell:
+parasitic._solve_closure, kinematics._solve_limbs, jacobian._jacobian_stage
+and stiffness._stiffness_diagonal; errors.first_failure records a CellStatus
+code where the scalar function raises.  This module only sequences the
+stages, lays out the blocks and keeps the memo: the last table, whose
+closure the next call on the same grid takes, since the closure does not
+depend on the head, the heave or the map.  Results count only where the
+status is still OK.  The scalar functions stay the public API and the
+reference the kernel is tested against.
 """
 from __future__ import annotations
 
@@ -21,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jacobian, parasitic
-from .errors import CELL_ERRORS, CellStatus
+from .errors import CellStatus, first_failure
 from .geometry import MechanismParams, _attachments, home_height, rot_x, rot_y
 from .grids import SweepGrid, check_axes
 from .kinematics import CONSTRAINT_TOL, _solve_limbs
-from .parasitic import CLOSURE_MAX_ITER, CLOSURE_TOL, DAMPING_TRIES
-from .stiffness import STIFFNESS_FIELDS, _limb_rates
+from .parasitic import _orientations, _solve_closure
+from .stiffness import STIFFNESS_FIELDS, _stiffness_diagonal
 
 # columns of a cell record, followed by one workspace flag per heave offset
 RECORD = ("x_mm", "y_mm", "gamma_rad", "kappa", *STIFFNESS_FIELDS)
@@ -36,8 +36,6 @@ RECORD = ("x_mm", "y_mm", "gamma_rad", "kappa", *STIFFNESS_FIELDS)
 BLOCK_CELLS = 256
 
 OK = CellStatus.OK
-# the status code of each of CELL_ERRORS
-_CODES = {error: CellStatus(code) for code, error in enumerate(CELL_ERRORS, start=1)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,88 +60,6 @@ class CellTable:
         return SweepGrid(self.psi_axis, self.theta_axis, self.values[:, :, columns[name]])
 
 
-def _orientations(ry: np.ndarray, rx: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """orientation_from_tilts for each cell from its rot_y(theta) and rot_x(psi).
-
-    rot_z(gamma) is built entry for entry as geometry.rot_z builds it, with
-    the cos and sin from math: the closure has to reproduce
-    solve_loop_closure bit for bit, because the grid means of the odd
-    parasitic fields cancel down to rounding noise, where a single bit of
-    one cell shows.  np.matmul runs the same BLAS call per cell as the
-    scalar function.
-    """
-    values = gamma.tolist()
-    c = np.array([math.cos(a) for a in values])
-    s = np.array([math.sin(a) for a in values])
-    zero, one = np.zeros(len(values)), np.ones(len(values))
-    rz = np.stack((c, -s, zero, s, c, zero, zero, zero, one), axis=1).reshape(-1, 3, 3)
-    return rz @ ry @ rx
-
-
-def _closure_residual(params: MechanismParams, ry: np.ndarray, rx: np.ndarray, u: np.ndarray):
-    """parasitic._closure_rows for every cell at its triple u: g_iy (N, 3) and C1 (N, 3, 3)."""
-    attachments = _attachments(params, _orientations(ry, rx, u[:, 2]))
-    return parasitic._closure_rows(params, attachments, u)
-
-
-def _solve_closure(
-    params: MechanismParams, ry: np.ndarray, rx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """solve_loop_closure for every cell: the parasitic triples (N, 3) and their status.
-
-    Each cell iterates until its own residual converges, with its own step
-    halving.  A cell whose C1 has an exact zero pivot, where the scalar
-    np.linalg.solve raises, fails with NO_CONVERGENCE like every other
-    failed closure.
-    """
-    n = len(rx)
-    u = np.zeros((n, 3))
-    status = np.full(n, OK, dtype=np.int8)
-    residual, jac = _closure_residual(params, ry, rx, u)
-    norm = np.abs(residual).max(axis=1)
-    live = np.flatnonzero(~(norm < CLOSURE_TOL))
-    for _ in range(CLOSURE_MAX_ITER):
-        if live.size == 0:
-            break
-        singular = np.linalg.det(jac[live]) == 0.0
-        status[live[singular]] = CellStatus.NO_CONVERGENCE
-        live = live[~singular]
-        step = np.linalg.solve(jac[live], -residual[live][..., None])[..., 0]
-        pending = np.arange(live.size)
-        scale = 1.0
-        for _halving in range(DAMPING_TRIES):
-            cells = live[pending]
-            trial = u[cells] + scale * step[pending]
-            trial_residual, trial_jac = _closure_residual(params, ry[cells], rx[cells], trial)
-            trial_norm = np.abs(trial_residual).max(axis=1)
-            accept = (trial_norm < norm[cells]) | (trial_norm < CLOSURE_TOL)
-            done = cells[accept]
-            u[done] = trial[accept]
-            residual[done] = trial_residual[accept]
-            jac[done] = trial_jac[accept]
-            norm[done] = trial_norm[accept]
-            pending = pending[~accept]
-            if pending.size == 0:
-                break
-            scale *= 0.5
-        status[live[pending]] = CellStatus.NO_CONVERGENCE
-        live = live[(status[live] == OK) & ~(norm[live] < CLOSURE_TOL)]
-    status[live] = CellStatus.NO_CONVERGENCE
-    return u, status
-
-
-def _first_failure(status: np.ndarray, checks) -> np.ndarray:
-    """status with each OK cell set to the code of its first failed check;
-    checks are a shared stage's (failed (N,), error class, message), in order."""
-    status = status.copy()
-    # no pass when nothing failed; count_nonzero, unlike any(), runs no ufunc
-    # reduction, whose code pages would add to a map run's peak memory
-    if any(np.count_nonzero(failed) for failed, _, _ in checks):
-        for failed, error, _ in checks:
-            status[(status == OK) & failed] = _CODES[error]
-    return status
-
-
 def _inverse_kinematics(
     params: MechanismParams,
     attachment: np.ndarray,
@@ -157,7 +73,7 @@ def _inverse_kinematics(
     joint[..., 1] += u[:, 1, None]
     joint[..., 2] += z
     _, l1, length, actuated, checks = _solve_limbs(params, joint, CONSTRAINT_TOL)
-    return l1, length, actuated, _first_failure(status, checks)
+    return l1, length, actuated, first_failure(status, checks)
 
 
 def _jacobian(
@@ -172,14 +88,9 @@ def _jacobian(
     G, _, kappa, checks = jacobian._jacobian_stage(
         params, attachment, l1, actuated, params.layout.tangent
     )
-    status = _first_failure(status, checks)
+    status = first_failure(status, checks)
     kappa[status != OK] = np.nan
     return G, kappa, status
-
-
-def _stiffness_diagonal(params: MechanismParams, G: np.ndarray, l1: np.ndarray) -> np.ndarray:
-    """diag(K) of assemble_stiffness, (N, 6), for stacks of OK cells only."""
-    return np.einsum("nrc,nc,nrc->nr", G, _limb_rates(params, l1), G)
 
 
 def _evaluate_cells(

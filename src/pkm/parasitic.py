@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CouplingSingular, IntegrationDiverged, NoConvergence
+from .errors import CellStatus, CouplingSingular, IntegrationDiverged, NoConvergence
 from .geometry import (
     MAX_TILT_DEG,
     MechanismParams,
@@ -85,14 +85,31 @@ def coupling_matrices(params: MechanismParams, pose: Pose) -> ParasiticCoupling:
     return ParasiticCoupling(C1=C1, C2=C2, C=_freeze(np.linalg.solve(C1, C2)))
 
 
-def _closure_rows(params: MechanismParams, attachments: np.ndarray, u: np.ndarray):
-    """Tangential offsets g_iy and their Jacobian C1 with respect to u = (x, y, gamma).
+def _orientations(ry: np.ndarray, rx: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """orientation_from_tilts for each cell from its rot_y(theta) and rot_x(psi).
 
-    attachments (..., 3, 3) belong to the orientation at u[..., 2]; the
-    heave does not enter, so neither does z.
+    rot_z(gamma) is built entry for entry as geometry.rot_z builds it, with
+    the cos and sin from math: the grid closure has to reproduce
+    solve_loop_closure bit for bit, because the grid means of the odd
+    parasitic fields cancel down to rounding noise, where a single bit of
+    one cell shows.  np.matmul runs the same BLAS call per cell as the
+    scalar function.
     """
+    values = gamma.tolist()
+    c = np.array([math.cos(a) for a in values])
+    s = np.array([math.sin(a) for a in values])
+    zero, one = np.zeros(len(values)), np.ones(len(values))
+    rz = np.stack((c, -s, zero, s, c, zero, zero, zero, one), axis=1).reshape(-1, 3, 3)
+    return rz @ ry @ rx
+
+
+def _closure_rows(params: MechanismParams, ry: np.ndarray, rx: np.ndarray, u: np.ndarray):
+    """Tangential offsets g_iy (N, 3) and their Jacobian C1 (N, 3, 3) with respect to
+    each cell's u = (x, y, gamma), at the orientation rot_z(gamma) @ ry @ rx; the
+    heave does not enter, so neither does z."""
+    attachments = _attachments(params, _orientations(ry, rx, u[:, 2]))
     c, s = params.layout.cos, params.layout.sin
-    x, y = u[..., 0, None], u[..., 1, None]
+    x, y = u[:, 0, None], u[:, 1, None]
     residual = -s * (x + attachments[..., 0]) + c * (y + attachments[..., 1])
     return residual, _constraint_rows(params, attachments)
 
@@ -178,6 +195,52 @@ def solve_loop_closure(
             residual=norm,
         )
     return _compatible_pose(params, psi, theta, z, u)
+
+
+def _solve_closure(
+    params: MechanismParams, ry: np.ndarray, rx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """solve_loop_closure for every cell: the parasitic triples (N, 3) and their status.
+
+    Each cell iterates until its own residual converges, with its own step
+    halving.  A cell whose C1 has an exact zero pivot, where the scalar
+    np.linalg.solve raises, fails with NO_CONVERGENCE like every other
+    failed closure.
+    """
+    n = len(rx)
+    u = np.zeros((n, 3))
+    status = np.full(n, CellStatus.OK, dtype=np.int8)
+    residual, jac = _closure_rows(params, ry, rx, u)
+    norm = np.abs(residual).max(axis=1)
+    live = np.flatnonzero(~(norm < CLOSURE_TOL))
+    for _ in range(CLOSURE_MAX_ITER):
+        if live.size == 0:
+            break
+        singular = np.linalg.det(jac[live]) == 0.0
+        status[live[singular]] = CellStatus.NO_CONVERGENCE
+        live = live[~singular]
+        step = np.linalg.solve(jac[live], -residual[live][..., None])[..., 0]
+        pending = np.arange(live.size)
+        scale = 1.0
+        for _halving in range(DAMPING_TRIES):
+            cells = live[pending]
+            trial = u[cells] + scale * step[pending]
+            trial_residual, trial_jac = _closure_rows(params, ry[cells], rx[cells], trial)
+            trial_norm = np.abs(trial_residual).max(axis=1)
+            accept = (trial_norm < norm[cells]) | (trial_norm < CLOSURE_TOL)
+            done = cells[accept]
+            u[done] = trial[accept]
+            residual[done] = trial_residual[accept]
+            jac[done] = trial_jac[accept]
+            norm[done] = trial_norm[accept]
+            pending = pending[~accept]
+            if pending.size == 0:
+                break
+            scale *= 0.5
+        status[live[pending]] = CellStatus.NO_CONVERGENCE
+        live = live[(status[live] == CellStatus.OK) & ~(norm[live] < CLOSURE_TOL)]
+    status[live] = CellStatus.NO_CONVERGENCE
+    return u, status
 
 
 def _compatible_pose(params, psi, theta, z, u) -> CompatiblePose:

@@ -111,6 +111,11 @@ def assemble_stiffness(
     )
 
 
+def _stiffness_diagonal(params: MechanismParams, G: np.ndarray, l1: np.ndarray) -> np.ndarray:
+    """diag(K) of assemble_stiffness, (N, 6), for stacks of OK cells only."""
+    return np.einsum("nrc,nc,nrc->nr", G, _limb_rates(params, l1), G)
+
+
 def deflection_under_load(result: StiffnessResult, wrench: np.ndarray) -> Deflection:
     """Solve K restricted to the feasible subspace for the platform deflection.
 

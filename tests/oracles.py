@@ -93,6 +93,40 @@ def parasitic_second_order(r_platform, psi, theta):
     return x, y, gamma
 
 
+def loop_closure_closed_form(azimuths, r_platform, psi, theta):
+    """The exact loop closure (x, y, gamma) (N, 3) of cells at tilts psi and
+    theta (N,), and C1 (N, 3, 3), the Jacobian of the closure rows there.
+
+    Limb i's row is -s_i (x + a_ix) + c_i (y + a_iy) = 0 with c_i, s_i the
+    cos and sin of its azimuth and a_i = Rz(gamma) v_i, v_i = Ry(theta)
+    Rx(psi) r (c_i, s_i, 0).  Weighting the rows by k = c x s removes x and
+    y and leaves A cos gamma + B sin gamma = 0, so gamma = atan(-A / B), the
+    root nearest 0; x and y then follow from the two rows whose azimuths
+    are furthest from parallel, by Cramer's rule.
+    """
+    xi = np.asarray(azimuths, dtype=float)
+    c, s = np.cos(xi), np.sin(xi)
+    k = np.cross(c, s)
+    tilts = np.stack((psi, theta, np.zeros_like(psi)), axis=-1)
+    R0 = Rotation.from_euler("xyz", tilts).as_matrix()
+    body = r_platform * np.stack((c, s, np.zeros(3)), axis=-1)
+    v = np.einsum("nrc,lc->nlr", R0, body)
+    vx, vy = v[..., 0], v[..., 1]
+    A = ((-s * vx + c * vy) * k).sum(axis=-1)
+    B = ((c * vx + s * vy) * k).sum(axis=-1)
+    gamma = np.arctan(-A / B)
+    cg, sg = np.cos(gamma)[:, None], np.sin(gamma)[:, None]
+    ax, ay = cg * vx - sg * vy, sg * vx + cg * vy
+    # each row reads -s_i x + c_i y = h_i
+    h = s * ax - c * ay
+    i, j = max(((0, 1), (0, 2), (1, 2)), key=lambda ij: abs(math.sin(xi[ij[1]] - xi[ij[0]])))
+    det = -s[i] * c[j] + c[i] * s[j]
+    x = (h[:, i] * c[j] - c[i] * h[:, j]) / det
+    y = (-s[i] * h[:, j] + s[j] * h[:, i]) / det
+    C1 = np.stack(np.broadcast_arrays(-s, c, ax * c + ay * s), axis=-1)
+    return np.stack((x, y, gamma), axis=-1), C1
+
+
 def ik_z3_reference(r_base, r_platform, link_length, p, R, tol=1e-6):
     """Slide positions of the rail-driven machine, limb by limb, from
     scratch: rotate into the limb plane, subtract the strut projection.

@@ -310,6 +310,21 @@ def test_task_rate_round_trip(rng):
         TaskRate.from_vector(np.zeros(5))
 
 
+@pytest.mark.parametrize(
+    "v, w, message",
+    [
+        (np.zeros(2), np.zeros(3), "two 3-vectors"),
+        (np.zeros(3), np.zeros((3, 1)), "two 3-vectors"),
+        (np.array([0.0, math.inf, 0.0]), np.zeros(3), "finite"),
+        (np.zeros(3), np.array([0.0, 0.0, math.nan]), "finite"),
+    ],
+    ids=["short-v", "column-w", "inf-v", "nan-w"],
+)
+def test_task_rate_rejects_bad_vectors(v, w, message):
+    with pytest.raises(ValueError, match=message):
+        TaskRate(v, w)
+
+
 def test_default_params_variants():
     for variant in Variant:
         p = default_params(variant)

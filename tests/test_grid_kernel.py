@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pkm import cli, jacobian, kernel, parasitic, stiffness, sweep
-from pkm.errors import CELL_ERRORS, CellStatus
+from pkm.errors import CELL_ERRORS, CellStatus, NoConvergence
 from pkm.geometry import (
     MechanismParams,
     StiffnessCoeffs,
@@ -135,6 +135,14 @@ EDGE_GRIDS = [
         None,
         {"NO_CONVERGENCE"},
     ),
+    # and at the corners of +/-40 deg, two cells run out of step halvings
+    (
+        MechanismParams(Variant.Z3_PRS, azimuths=(0.0, 0.01, 0.02)),
+        2,
+        40.0,
+        None,
+        {"NO_CONVERGENCE"},
+    ),
     # platform in the base plane: flat struts, whose actuation map vanishes
     # at home, and with equal radii zero-length struts there
     (default_params(Variant.A3_RPS), 5, 10.0, 0.0, {"SINGULAR_CONFIGURATION"}),
@@ -171,6 +179,7 @@ EDGE_GRID_IDS = [
     "spherical-stiffness",
     "twin-limbs",
     "clustered-limbs",
+    "clustered-limbs-damping",
     "flat-struts",
     "coincident-hinge",
     "z3-near-short-link",
@@ -192,6 +201,21 @@ def test_kernel_matches_scalar_chain_on_edge_grids(params, grid_n, tilt_max_deg,
     inside = table.values[..., N_RECORD:]
     if params.stroke_max is not None:
         assert 0.0 < inside.sum() < inside.size
+
+
+def test_clustered_edge_grid_exhausts_the_damping():
+    # the scalar closure's "damping exhausted" raise is one of the routes
+    # the edge grids hold the kernel to, cell for cell
+    params, grid_n, tilt_max_deg, _, _ = EDGE_GRIDS[EDGE_GRID_IDS.index("clustered-limbs-damping")]
+    psi_axis, theta_axis = tilt_axes(grid_n, tilt_max_deg)
+    messages = []
+    for psi in psi_axis.tolist():
+        for theta in theta_axis.tolist():
+            try:
+                solve_loop_closure(params, psi, theta)
+            except NoConvergence as exc:
+                messages.append(str(exc))
+    assert any(message.startswith("damping exhausted") for message in messages)
 
 
 def closure_solves(monkeypatch) -> list:

@@ -262,6 +262,26 @@ def test_wrench_column_helpers_reject_nonfinite_entries():
     assert run.stdout.splitlines() == [f"{name} {name} entries must be finite" for name in names]
 
 
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("Gc", lambda jac, bad, params: constraint_projector(bad)),
+        ("Ga", lambda jac, bad, params: homogenized_jacobian(bad, jac.Gc, params)),
+        ("Gc", lambda jac, bad, params: homogenized_jacobian(jac.Ga, bad, params)),
+        ("P", lambda jac, bad, params: project_task_rate(bad, np.ones(6))),
+    ],
+    ids=["projector-Gc", "homogenized-Ga", "homogenized-Gc", "project-P"],
+)
+def test_matrix_helpers_reject_nan_in_this_process(a3_params, name, call):
+    # the child process above guards against a hang on inf; a NaN never
+    # hung the SVD, so the NaN case also runs here, where a line tracer sees it
+    jac = build_jacobian(a3_params, home_pose(a3_params))
+    bad = np.array(getattr(jac, name))
+    bad[1, 2] = math.nan
+    with pytest.raises(ValueError, match=f"^{name} entries must be finite$"):
+        call(jac, bad, a3_params)
+
+
 def kernel_constraint_stacks(monkeypatch, params, grid_n, tilt_max_deg):
     """The unscaled constraint wrenches (N, 6, 3) of every cell that the
     kernel factors on a grid_n^2 grid at the home height."""

@@ -3,11 +3,34 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.transform import Rotation
 
-from oracles import parasitic_second_order, path_end_reference, path_rates_reference
+from oracles import (
+    loop_closure_closed_form,
+    parasitic_second_order,
+    path_end_reference,
+    path_rates_reference,
+)
 from pkm import parasitic
-from pkm.errors import IntegrationDiverged, NoConvergence, UnreachablePose
-from pkm.geometry import MAX_LENGTH, MechanismParams, Pose, Variant, default_params, home_height, rot_z
+from pkm.errors import (
+    CellStatus,
+    CouplingSingular,
+    IntegrationDiverged,
+    NoConvergence,
+    UnreachablePose,
+)
+from pkm.geometry import (
+    MAX_LENGTH,
+    MechanismParams,
+    Pose,
+    Variant,
+    default_params,
+    home_height,
+    home_pose,
+    rot_x,
+    rot_y,
+    rot_z,
+)
 from pkm.grids import tilt_axes
 from pkm.jacobian import build_jacobian
 from pkm.kernel import evaluate_grid
@@ -39,6 +62,14 @@ def test_no_coupling_at_home(params):
     coupling = coupling_matrices(params, home_pose(params))
     assert np.max(np.abs(coupling.C2)) < 1e-12
     assert np.max(np.abs(coupling.C)) < 1e-12
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=["z3", "a3"])
+def test_twin_limbs_make_the_coupling_singular_at_home(variant):
+    # limbs 0 and 1 on one azimuth give C1 two equal rows: det C1 = 0
+    params = MechanismParams(variant=variant, azimuths=(0.0, 0.0, 0.5 * math.pi))
+    with pytest.raises(CouplingSingular, match="determinant"):
+        coupling_matrices(params, home_pose(params))
 
 
 def test_coupled_rates_lie_in_feasible_space(params, rng):
@@ -266,6 +297,48 @@ def test_no_convergence_carries_residual(params, monkeypatch):
         solve_loop_closure(params, 0.6, -0.6)
     assert excinfo.value.residual is not None
     assert excinfo.value.residual > 0.0
+
+
+# the closure oracle's layouts: stock, uneven, and limbs 0.01 rad apart,
+# where C1 is ill-conditioned and damped Newton gives up on some cells
+CLOSURE_LAYOUTS = {
+    "stock": default_params(Variant.Z3_PRS).azimuths,
+    "skewed": (0.0, 2.0, 4.5),
+    "clustered": (0.0, 0.01, 0.02),
+}
+
+
+@pytest.mark.parametrize("grid_n, tilt_max_deg", [(121, 40.0), (61, 60.0)])
+@pytest.mark.parametrize("r_platform", [17.0, 250.0])
+@pytest.mark.parametrize("layout", list(CLOSURE_LAYOUTS))
+def test_grid_closure_matches_closed_form(layout, r_platform, grid_n, tilt_max_deg):
+    params = MechanismParams(
+        Variant.Z3_PRS, r_platform=r_platform, azimuths=CLOSURE_LAYOUTS[layout]
+    )
+    psi_axis, theta_axis = tilt_axes(grid_n, tilt_max_deg)
+    rx = np.repeat(np.array([rot_x(a) for a in psi_axis.tolist()]), grid_n, axis=0)
+    ry = np.tile(np.array([rot_y(a) for a in theta_axis.tolist()]), (grid_n, 1, 1))
+    u, status = parasitic._solve_closure(params, ry, rx)
+    psi, theta = np.repeat(psi_axis, grid_n), np.tile(theta_axis, grid_n)
+    exact, C1 = loop_closure_closed_form(params.azimuths, r_platform, psi, theta)
+    # the closed form closes every cell, to rounding
+    R = Rotation.from_euler("xyz", np.stack((psi, theta, exact[:, 2]), axis=-1)).as_matrix()
+    xi = np.array(params.azimuths)
+    body = r_platform * np.stack((np.cos(xi), np.sin(xi), np.zeros(3)), axis=-1)
+    a = np.einsum("nrc,lc->nlr", R, body)
+    rows = -np.sin(xi) * (exact[:, :1] + a[..., 0]) + np.cos(xi) * (exact[:, 1:2] + a[..., 1])
+    assert np.abs(rows).max() <= 1e-12 * r_platform
+    # Newton stops once every row is below CLOSURE_TOL, so to first order
+    # its error is C1^-1 times rows of at most CLOSURE_TOL plus the rounding
+    # of either side's rows; the rows are linear in x and y, and the
+    # second-order term in gamma is of order r dgamma^2, far below both
+    ok = status == CellStatus.OK
+    if layout != "clustered":
+        assert ok.all()
+    rounding = 8.0 * np.finfo(float).eps * (r_platform + np.abs(exact[:, :2]).sum(axis=1))
+    gain = np.abs(np.linalg.inv(C1)).sum(axis=2)
+    bound = gain * (parasitic.CLOSURE_TOL + 2.0 * rounding)[:, None]
+    assert np.all(np.abs(u - exact)[ok] <= bound[ok])
 
 
 def test_parasitic_map_fields(params):

@@ -61,3 +61,38 @@ def test_output_digest_is_repeatable(tmp_path):
     assert {path.name for path in kept.iterdir() if path.is_dir()} == set(names[:-1])
     console = (kept / "compare_21" / "compare.console").read_text(encoding="utf-8")
     assert console.startswith("exit 0\n") and "to <tree>/compare\n" in console
+
+
+def test_untested_lines_lists_what_one_test_leaves_unrun():
+    # one test of the one-pose chain, without the hypothesis plugin, whose
+    # start-up would take most of the run
+    run = run_script(
+        "untested_lines.py",
+        "-q",
+        "-p",
+        "no:cacheprovider",
+        "-p",
+        "no:hypothesispytest",
+        str(Path(__file__).parent / "test_value_types.py"),
+        "-k",
+        "test_per_pose_types_are_slotted_and_frozen",
+    )
+    assert run.returncode == 0, run.stderr
+    listed = [line for line in run.stdout.splitlines() if line.startswith("src/")]
+    summary = re.fullmatch(
+        r"(\d+) of (\d+) executable lines of src/pkm were not executed\n", run.stderr
+    )
+    assert int(summary[1]) == len(listed) < int(summary[2])
+    package = SCRIPTS.parent / "src" / "pkm"
+    by_file = {}
+    for line in listed:
+        path, number, text = re.fullmatch(r"src/pkm/(\w+\.py):(\d+): (.*)", line).groups()
+        source = (package / path).read_text(encoding="utf-8").splitlines()
+        assert source[int(number) - 1].strip() == text
+        by_file.setdefault(path, []).append(int(number))
+    assert all(numbers == sorted(numbers) for numbers in by_file.values())
+    texts = {line.split(": ", 1)[1] for line in listed}
+    # coupling_matrices ran on a regular pose, and no comparison ran
+    assert "C1 = _freeze(_constraint_rows(params, attachments))" not in texts
+    assert 'raise CouplingSingular(f"coupling system determinant {det:.3g} too small")' in texts
+    assert 'return "tie" if not winners else "mixed"' in texts

@@ -10,6 +10,7 @@ from pkm.config import SweepSettings
 from pkm.errors import CELL_ERRORS, ConfigError
 from pkm.geometry import (
     MechanismParams,
+    StiffnessCoeffs,
     Variant,
     default_params,
     home_height,
@@ -227,6 +228,52 @@ def test_home_flag_needs_a_home_cell(tmp_path, grid_n, flag):
     assert report.flags["stiffness_home_dominant"] == flag
     text = (out / "report.txt").read_text(encoding="utf-8")
     assert f"\nstiffness_home_dominant: {flag}\n" in text
+
+
+@pytest.mark.parametrize(
+    "a3, sweep, flag",
+    [
+        # the same head on both sides ties every measure
+        (default_params(Variant.Z3_PRS), SMALL, "tie"),
+        # stiffer spherical joints give a3 the lead in some measures only
+        (
+            MechanismParams(
+                Variant.A3_RPS, stiffness=StiffnessCoeffs(k_sx=1e7, k_sy=1e7, k_sz=1e7)
+            ),
+            SweepSettings(grid_n=5, tilt_max_deg=40.0),
+            "mixed",
+        ),
+        # a3's platform in the base plane: its flat struts fail the home cell
+        (
+            default_params(Variant.A3_RPS),
+            SweepSettings(grid_n=3, tilt_max_deg=10.0, z_mm=0.0),
+            "undetermined",
+        ),
+    ],
+    ids=["tie", "mixed", "a3-home-cell-failed"],
+)
+def test_home_flag_reads_tie_mixed_or_undetermined(tmp_path, a3, sweep, flag):
+    settings = CompareSettings(
+        params_z3=default_params(Variant.Z3_PRS), params_a3=a3, out_dir=tmp_path, sweep=sweep
+    )
+    assert run_comparison(settings).flags["stiffness_home_dominant"] == flag
+
+
+def test_condition_flag_needs_a_kappa_on_each_head(tmp_path):
+    # links 1 mm longer than r_base - r_platform: the rail head reaches no
+    # cell of this grid, so it has no kappa or stiffness to compare
+    settings = CompareSettings(
+        params_z3=MechanismParams(Variant.Z3_PRS, link_length=101.0),
+        params_a3=MechanismParams(Variant.A3_RPS, link_length=101.0),
+        out_dir=tmp_path,
+        sweep=SweepSettings(grid_n=4, tilt_max_deg=60.0),
+    )
+    report = run_comparison(settings)
+    assert report.flags["condition_peak_machine"] == "undetermined"
+    text = (tmp_path / "report.txt").read_text(encoding="utf-8")
+    for name in ("kappa", *STIFFNESS_FIELDS):
+        assert f"\n{name}, z3, nan, nan, nan\n" in text
+        assert f"\n{name}, a3, nan" not in text
 
 
 @pytest.mark.parametrize("grid_n", [3, 13, 21, 23, 45, 121, 155])
