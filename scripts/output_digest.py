@@ -7,7 +7,11 @@ The trees are:
 - `pkm compare` at 45^2 with link_length_mm = 105 in a config file;
 - the twelve single-machine map commands that tests/conftest.py lists for
   the 21^2, +/-48 deg grid, one tree each;
-- `pkm ik` and `pkm jacobian` at four poses per head, in one tree.
+- `pkm ik` and `pkm jacobian` at four poses per head, in one tree;
+- kernel_tables: the raw bytes of evaluate_grid's values and status for
+  both stock heads at 45^2 and 121^2 over +/-40 deg, default offsets, each
+  grid evaluated with no closure kept and then again with its own kept.
+  The CSVs print 12 digits; these files hold every bit.
 
 Every command runs in this process through pkm.cli.main.  Next to the files
 it writes, each command leaves <name>.console: its exit code, stdout and
@@ -32,7 +36,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from conftest import map_sweep_commands  # noqa: E402  (the map commands the tests run)
 
-from pkm import cli  # noqa: E402
+from pkm import Variant, cli, default_params, kernel  # noqa: E402
+from pkm.grids import tilt_axes  # noqa: E402
 
 TREE = "{tree}"  # stands for the tree's directory in a command's arguments
 POSES_DEG = ((0.0, 0.0), (15.0, -10.0), (-30.0, 25.0), (40.0, 40.0))
@@ -80,6 +85,19 @@ def run(tree: Path, name: str, argv: list[str]) -> None:
     (tree / f"{name}.console").write_text(text.replace(str(tree), "<tree>"), encoding="utf-8")
 
 
+def write_kernel_tables(tree: Path) -> None:
+    """Write the bytes of each table's values and status into tree."""
+    for machine in ("z3", "a3"):
+        params = default_params(Variant(machine))
+        for grid_n in (45, 121):
+            kernel._last_table = None
+            for run_name in ("cold", "warm"):
+                table = kernel.evaluate_grid(params, *tilt_axes(grid_n, 40.0))
+                for field in ("values", "status"):
+                    path = tree / f"{machine}_{grid_n}_{run_name}.{field}"
+                    path.write_bytes(getattr(table, field).tobytes())
+
+
 def tree_digest(tree: Path) -> str:
     sha = hashlib.sha256()
     for path in sorted(p for p in tree.rglob("*") if p.is_file()):
@@ -97,6 +115,10 @@ def digest_all(root: Path) -> list[str]:
         for name, argv in commands.items():
             run(tree, name, argv)
         lines.append(f"{tree_digest(tree)}  {tree_name}")
+    tree = root / "kernel_tables"
+    tree.mkdir()
+    write_kernel_tables(tree)
+    lines.append(f"{tree_digest(tree)}  kernel_tables")
     overall = hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest()
     return [*lines, f"{overall}  all"]
 

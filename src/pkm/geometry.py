@@ -138,6 +138,8 @@ class MechanismParams:
             raise ValueError("link_length too short to close the home configuration")
         if len(self.azimuths) != 3:
             raise ValueError("exactly three limb azimuths required")
+        if not all(map(math.isfinite, self.azimuths)):
+            raise ValueError(f"azimuths must be finite, got {self.azimuths!r}")
         lo, hi = self.stroke_limits()
         if not lo < hi:  # also rejects NaN bounds
             default_lo, default_hi = self._default_stroke_limits()

@@ -4,14 +4,16 @@ Every tilt grid runs the chain of the scalar single-pose functions
 (solve_loop_closure, inverse_kinematics, build_jacobian, assemble_stiffness)
 on blocks of whole psi rows at once.  Each batched stage lives beside its
 scalar twin and takes (N, ...) arrays with one entry per cell:
-parasitic._solve_closure, kinematics._solve_limbs, jacobian._jacobian_stage
-and stiffness._stiffness_diagonal; errors.first_failure records a CellStatus
-code where the scalar function raises.  This module only sequences the
-stages, lays out the blocks and keeps the memo: the last table, whose
-closure the next call on the same grid takes, since the closure does not
-depend on the head, the heave or the map.  Results count only where the
-status is still OK.  The scalar functions stay the public API and the
-reference the kernel is tested against.
+parasitic._solve_closure, kinematics._solve_limbs, jacobian._jacobian_stage,
+and stiffness._limb_rates and stiffness._stiffness_matrix, which
+assemble_stiffness itself calls; errors.first_failure records a CellStatus
+code where the scalar function raises.  So every column of the table is
+the scalar chain's bits.  This module only sequences the stages, lays out
+the blocks and keeps the memo: the last table, whose closure the next call
+on the same grid takes, since the closure does not depend on the head, the
+heave or the map.  Results count only where the status is still OK.  The
+scalar functions stay the public API and the reference the kernel is
+tested against.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from .geometry import MechanismParams, _attachments, home_height, rot_x, rot_y
 from .grids import SweepGrid, check_axes
 from .kinematics import CONSTRAINT_TOL, _solve_limbs
 from .parasitic import _orientations, _solve_closure
-from .stiffness import STIFFNESS_FIELDS, _stiffness_diagonal
+from .stiffness import STIFFNESS_FIELDS, _limb_rates, _stiffness_matrix
 
 # columns of a cell record, followed by one workspace flag per heave offset
 RECORD = ("x_mm", "y_mm", "gamma_rad", "kappa", *STIFFNESS_FIELDS)
@@ -134,7 +136,8 @@ def _evaluate_cells(
         ok = cell_status == OK
         if k == 0:
             values[ok, 3] = kappa[ok]
-            values[ok, 4 : len(RECORD)] = _stiffness_diagonal(params, G[ok], l1[ok])
+            K = _stiffness_matrix(G[ok], _limb_rates(params, l1[ok]))
+            values[ok, 4 : len(RECORD)] = K.diagonal(0, -2, -1)
         strokes_ok = ((lo <= length) & (length <= hi)).all(axis=1)
         values[:, len(RECORD) + k] = ok & strokes_ok & (1.0 / kappa >= kappa_min_inv)
         status[:, 1 + k] = cell_status

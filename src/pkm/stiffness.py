@@ -83,6 +83,11 @@ def _limb_rates(params: MechanismParams, l1: np.ndarray) -> np.ndarray:
     return rates
 
 
+def _stiffness_matrix(G: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """K = G @ diag(rates) @ G^T (..., 6, 6) of wrench matrices G (..., 6, 6) and rates (..., 6)."""
+    return (G * rates[..., None, :]) @ G.swapaxes(-1, -2)
+
+
 def assemble_stiffness(
     params: MechanismParams,
     pose: Pose,
@@ -95,7 +100,7 @@ def assemble_stiffness(
     if jac is None:
         jac = build_jacobian(params, pose, states)
     rates = _limb_rates(params, np.array([state.l1 for state in states]))
-    K = _freeze((jac.G * rates) @ jac.G.T)
+    K = _freeze(_stiffness_matrix(jac.G, rates))
     k_a = params.stiffness.actuation
     kpx, kpy, kpz, kax, kay, kaz = K.diagonal().tolist()
     return StiffnessResult(
@@ -109,11 +114,6 @@ def assemble_stiffness(
         jacobian=jac,
         limb_stiffness=tuple([LimbStiffness(k_a, k_c) for k_c in rates[3:].tolist()]),
     )
-
-
-def _stiffness_diagonal(params: MechanismParams, G: np.ndarray, l1: np.ndarray) -> np.ndarray:
-    """diag(K) of assemble_stiffness, (N, 6), for stacks of OK cells only."""
-    return np.einsum("nrc,nc,nrc->nr", G, _limb_rates(params, l1), G)
 
 
 def deflection_under_load(result: StiffnessResult, wrench: np.ndarray) -> Deflection:

@@ -217,10 +217,11 @@ def limb_rates_reference(params, l1):
     return np.array([k_a] * 3 + k_c)
 
 
-def wrench_matrix_reference(machine, r_base, r_platform, link_length, azimuths, p, R):
-    """G of the pose (p, R), limb by limb from the azimuths: the link vector
-    solved afresh, moments by np.cross, columns by np.column_stack."""
-    active, constraint = [], []
+def links_reference(machine, r_base, r_platform, link_length, azimuths, p, R):
+    """Platform attachments R a_i and link vectors l1_i, (3, 3) each, of the
+    pose (p, R), limb by limb from the azimuths: the link vector solved
+    afresh from the pose, without inverse kinematics."""
+    attachments, links = [], []
     for xi in azimuths:
         c, s = np.cos(xi), np.sin(xi)
         attachment = R @ np.array([r_platform * c, r_platform * s, 0.0])
@@ -228,9 +229,21 @@ def wrench_matrix_reference(machine, r_base, r_platform, link_length, azimuths, 
         if machine == "z3":
             # the fixed strut from the rail carriage, which slides along z
             link[2] = np.sqrt(link_length**2 - link[0] ** 2 - link[1] ** 2)
-            divisor = link[2]
-        else:
-            divisor = np.linalg.norm(link)
+        attachments.append(attachment)
+        links.append(link)
+    return np.array(attachments), np.array(links)
+
+
+def wrench_matrix_reference(machine, r_base, r_platform, link_length, azimuths, p, R):
+    """G of the pose (p, R), limb by limb from the azimuths: the link vectors
+    of links_reference, moments by np.cross, columns by np.column_stack."""
+    active, constraint = [], []
+    attachments, links = links_reference(
+        machine, r_base, r_platform, link_length, azimuths, p, R
+    )
+    for xi, attachment, link in zip(azimuths, attachments, links):
+        c, s = np.cos(xi), np.sin(xi)
+        divisor = link[2] if machine == "z3" else np.linalg.norm(link)
         revolute = np.array([-s, c, 0.0])
         active.append(np.concatenate([link, np.cross(attachment, link)]) / divisor)
         constraint.append(np.concatenate([revolute, np.cross(attachment, revolute)]))

@@ -182,6 +182,10 @@ def test_params_validation():
         MechanismParams(variant=Variant.Z3_PRS, link_length=50.0)
     with pytest.raises(ValueError):
         MechanismParams(variant=Variant.Z3_PRS, azimuths=(0.0, 1.0))
+    # a NaN azimuth gave NaN lengths and numpy's SVD error, an infinite one a math domain error
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="azimuths must be finite"):
+            MechanismParams(variant=Variant.Z3_PRS, azimuths=(0.0, value, 4.0))
 
 
 @pytest.mark.parametrize("name", ["r_base", "r_platform", "link_length"])

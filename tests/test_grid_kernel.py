@@ -34,9 +34,12 @@ from oracles import (
     assert_wrench_columns_close,
     ik_a3_reference,
     ik_z3_reference,
+    kappa_eig,
     limb_rates_reference,
+    links_reference,
     parasitic_second_order,
     rotation_from_tilts_scipy,
+    stiffness_rank1,
     wrench_matrix_reference,
 )
 
@@ -82,19 +85,10 @@ def assert_matches_scalar(params, psi_axis, theta_axis, z0):
     # CellStatus code k > 0 stands for CELL_ERRORS[k - 1]
     mapped = np.array((None, *CELL_ERRORS), dtype=object)[table.status]
     assert np.array_equal(mapped, errors)
-    assert np.array_equal(np.isnan(table.values), np.isnan(values))
-    # the closure is the scalar one bit for bit: the grid means of the odd
-    # fields y and gamma cancel to rounding noise, where any bit would show
-    assert np.array_equal(table.values[..., :3], values[..., :3], equal_nan=True)
-    for n in range(3, N_RECORD):
-        got, want = table.values[..., n], values[..., n]
-        valid = ~np.isnan(want)
-        if not valid.any():
-            continue
-        scale = np.abs(want[valid]).max()
-        diff = np.abs(got[valid] - want[valid])
-        assert np.all(diff <= 1e-9 * np.abs(want[valid]) + 1e-12 * scale), kernel.RECORD[n]
-    assert np.array_equal(table.values[..., N_RECORD:], values[..., N_RECORD:])
+    # every stage is the scalar chain's own function, so the table is the
+    # scalar one byte for byte, NaN payloads included; one bit counts, since
+    # the grid means of the odd fields y and gamma are rounding noise
+    assert table.values.tobytes() == values.tobytes()
     return table
 
 
@@ -492,6 +486,46 @@ def test_kernel_wrench_matrix_matches_reference(variant):
                 R,
             )
             assert_wrench_columns_close(G[n], want)
+
+
+@pytest.mark.parametrize(
+    "params, grid_n, tilt_max_deg, z0",
+    [
+        (default_params(Variant.Z3_PRS), 41, 40.0, None),
+        (default_params(Variant.A3_RPS), 41, 40.0, None),
+        *(grid[:4] for grid in EDGE_GRIDS),
+    ],
+    ids=["z3-stock", "a3-stock", *EDGE_GRID_IDS],
+)
+def test_grid_kappa_and_stiffness_match_references(params, grid_n, tilt_max_deg, z0):
+    # the table's kappa and stiffness on every OK cell, against references
+    # that share no code with the scalar chain: G and the link vectors come
+    # from the cell's pose (its tilts and the table's x, y and gamma), not
+    # from pkm's inverse kinematics
+    z0 = home_height(params) if z0 is None else z0
+    psi_axis, theta_axis = tilt_axes(grid_n, tilt_max_deg)
+    table = kernel.evaluate_grid(params, psi_axis, theta_axis, z0)
+    eps = np.finfo(float).eps
+    for i, j in np.argwhere(table.status[..., 1] == CellStatus.OK).tolist():
+        x, y, gamma, kappa, *diagonal = table.values[i, j, :N_RECORD].tolist()
+        R = rotation_from_tilts_scipy(psi_axis[i], theta_axis[j], gamma)
+        geometry = (
+            params.variant.value,
+            params.r_base,
+            params.r_platform,
+            params.link_length,
+            params.azimuths,
+            (x, y, z0),
+            R,
+        )
+        G = wrench_matrix_reference(*geometry)
+        _, l1 = links_reference(*geometry)
+        # kappa_eig squares kappa in J^T J: forming it and eigvalsh each move
+        # its least eigenvalue by O(eps sigma_1^2), a relative O(eps kappa^2)
+        want = kappa_eig(G[:, :3], G[:, 3:], params.r_platform)
+        assert abs(kappa - want) <= (1e-9 + 4.0 * eps * want**2) * want, (i, j)
+        want = np.diag(stiffness_rank1(G, limb_rates_reference(params, l1)))
+        assert np.all(np.abs(np.array(diagonal) - want) <= 1e-9 * want), (i, j)
 
 
 @pytest.mark.parametrize(

@@ -242,6 +242,14 @@ def test_coincident_limbs_make_the_path_coupling_singular(variant, azimuths):
         integrate_parasitic_path(params, 0.3, 0.2)
 
 
+def test_infinite_rate_blows_up_the_state(monkeypatch, z3_params):
+    # no input is known to reach this raise before the singular-coupling
+    # check fires, so the rates are made infinite by hand
+    monkeypatch.setattr(parasitic, "_path_rates", lambda *args: (math.inf, 0.0, 0.0))
+    with pytest.raises(IntegrationDiverged, match=r"^state blew up at path parameter 0\.005$"):
+        integrate_parasitic_path(z3_params, 0.3, 0.2)
+
+
 @pytest.mark.parametrize("steps", [1, 2, 3])
 def test_too_few_steps_leave_the_end_point_off_the_manifold(params, steps):
     # the end-point residuals are 5.5, 0.40 and 0.079 mm

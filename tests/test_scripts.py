@@ -47,7 +47,7 @@ def test_scalar_digest_is_repeatable():
 
 
 def test_output_digest_is_repeatable(tmp_path):
-    # side by side, since each run takes about 2 s; one keeps its trees
+    # side by side, since each run takes about 3 s; one keeps its trees
     kept = tmp_path / "kept"
     children = [start_script("output_digest.py", "--out", str(kept))]
     children.append(start_script("output_digest.py"))
@@ -56,7 +56,8 @@ def test_output_digest_is_repeatable(tmp_path):
         assert code == 0, stderr
         names = [line.split("  ")[1] for line in stdout.splitlines()]
         assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in stdout.splitlines())
-        assert len(names) == 5 + 12 + 1 + 1 and names[-1] == "all"
+        # five comparisons, twelve maps, the poses, the kernel tables, all
+        assert len(names) == 5 + 12 + 1 + 1 + 1 and names[-2:] == ["kernel_tables", "all"]
     assert runs[0][0] == runs[1][0]
     assert {path.name for path in kept.iterdir() if path.is_dir()} == set(names[:-1])
     console = (kept / "compare_21" / "compare.console").read_text(encoding="utf-8")
