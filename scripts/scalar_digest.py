@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print one SHA-256 over every output of the scalar per-pose chain.
 
-Seeded queries on five machines run closure, coupling, IK, Jacobian, task
+Seeded queries on six machines run closure, coupling, IK, Jacobian, task
 rate projection, stiffness and deflection; seeded RK4 paths run
 integrate_parasitic_path.  The digest covers the raw bytes of every float
 and array the chain returns, and the class and message of every error it
@@ -36,6 +36,8 @@ def machines() -> list[MechanismParams]:
         MechanismParams(Variant.Z3_PRS, link_length=105.0),
         MechanismParams(Variant.A3_RPS, azimuths=(0.0, 2.0, 4.5)),
         MechanismParams(Variant.A3_RPS, stiffness=StiffnessCoeffs(k_sx=2e6, k_sz=5e5)),
+        # clustered limbs: C1 is ill-conditioned but not singular
+        MechanismParams(Variant.A3_RPS, azimuths=(0.0, 0.01, 0.02)),
     ]
 
 

@@ -31,7 +31,8 @@ class RankDeficiency(PkmError):
 
 
 class CouplingSingular(PkmError):
-    """Parasitic coupling system C1 is numerically singular."""
+    """Parasitic coupling system C1 is singular: |det C1| is at most
+    parasitic.COUPLING_TOL times r_platform, the rule that RK4 applies too."""
 
 
 class IntegrationDiverged(PkmError):

@@ -31,6 +31,7 @@ from .kinematics import CONSTRAINT_TOL
 
 TILT_LIMIT = math.radians(MAX_TILT_DEG) + 1e-12
 CLOSURE_TOL = 1e-10  # mm, on the largest tangential offset
+COUPLING_TOL = 1e-12  # times r_platform: the largest |det C1| that counts as singular
 CLOSURE_MAX_ITER = 100
 DAMPING_TRIES = 9  # the full Newton step, then up to 8 halvings
 
@@ -74,15 +75,20 @@ def _constraint_rows(params: MechanismParams, attachments: np.ndarray) -> np.nda
 
 
 def coupling_matrices(params: MechanismParams, pose: Pose) -> ParasiticCoupling:
-    """Expand the constraint rows into the dependent/independent rate split."""
+    """Expand the constraint rows into the dependent/independent rate split:
+    C = C1^-1 C2 by the path rates' Cramer's rule, column by column, with no
+    LAPACK call.  Raises CouplingSingular where |det C1| <= COUPLING_TOL *
+    r_platform, the path rates' rule too."""
     attachments = _attachments(params, pose.R)
     C1 = _freeze(_constraint_rows(params, attachments))
     az = attachments[..., 2]
     C2 = _freeze(np.stack((az * params.layout.cos, az * params.layout.sin), axis=-1))
-    det = np.linalg.det(C1)
-    if abs(det) < 1e-9 * np.linalg.norm(C1, 2) ** 3:
+    geometry, m = _path_geometry(params), C1[:, 2].tolist()
+    singular = COUPLING_TOL * params.r_platform
+    (det, first), (_, second) = (_solve_coupling(geometry, m, b, singular) for b in C2.T.tolist())
+    if first is None:
         raise CouplingSingular(f"coupling system determinant {det:.3g} too small")
-    return ParasiticCoupling(C1=C1, C2=C2, C=_freeze(np.linalg.solve(C1, C2)))
+    return ParasiticCoupling(C1=C1, C2=C2, C=_freeze(np.array(list(zip(first, second)))))
 
 
 def _orientations(ry: np.ndarray, rx: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -140,8 +146,9 @@ def _largest_magnitude(values) -> float:
 
 
 def _check_tilt_bounds(psi: float, theta: float) -> None:
-    # negated, so that a NaN tilt fails too
-    if not (abs(psi) <= TILT_LIMIT and abs(theta) <= TILT_LIMIT):
+    if math.isnan(psi) or math.isnan(theta):
+        raise ValueError("tilt targets must be finite")
+    if abs(psi) > TILT_LIMIT or abs(theta) > TILT_LIMIT:
         limit = f"{MAX_TILT_DEG:g} degrees"
         raise ValueError(f"tilt targets beyond {limit} are outside the supported range")
 
@@ -258,12 +265,26 @@ def _compatible_pose(params, psi, theta, z, u) -> CompatiblePose:
 
 
 def _path_geometry(params: MechanismParams):
-    """What the path rates need of the layout: per limb (cos xi, sin xi,
-    r cos xi, r sin xi), then k = c x s for c = (cos xi_i), s = (sin xi_i)."""
+    """The layout as both callers pass it to _solve_coupling: per limb (cos xi,
+    sin xi, r cos xi, r sin xi), then k = c x s for c = (cos xi_i), s = (sin xi_i)."""
     c, s = params.layout.cos.tolist(), params.layout.sin.tolist()
     (c0, c1, c2), (s0, s1, s2) = c, s
     k = (c1 * s2 - c2 * s1, c2 * s0 - c0 * s2, c0 * s1 - c1 * s0)
     return (*zip(c, s, *params.layout.body[:, :2].T.tolist()), k)
+
+
+def _solve_coupling(geometry, m, b, singular):
+    """(det C1, (v_x, v_y, w_z) or None where |det C1| <= singular) for C1's
+    columns (-s, c, m) and C1 (v_x, v_y, w_z) = b, by Cramer's rule on plain
+    floats: det = m.k, and the numerators are b.(c x m), b.(s x m) and b.k."""
+    (c0, s0, _, _), (c1, s1, _, _), (c2, s2, _, _), (k0, k1, k2) = geometry
+    (m0, m1, m2), (b0, b1, b2) = m, b
+    det = m0 * k0 + m1 * k1 + m2 * k2
+    if not abs(det) > singular:  # negated, so that a NaN determinant fails too
+        return det, None
+    x = b0 * (c1 * m2 - c2 * m1) + b1 * (c2 * m0 - c0 * m2) + b2 * (c0 * m1 - c1 * m0)
+    y = b0 * (s1 * m2 - s2 * m1) + b1 * (s2 * m0 - s0 * m2) + b2 * (s0 * m1 - s1 * m0)
+    return det, (x / det, y / det, (b0 * k0 + b1 * k1 + b2 * k2) / det)
 
 
 def _path_rates(geometry, singular, psi_target, theta_target, s, gamma):
@@ -285,22 +306,17 @@ def _path_rates(geometry, singular, psi_target, theta_target, s, gamma):
     wy = cg * theta_target + sg * ct * psi_target
     # limb i, attachment a = R (r c, r s, 0): C1 row (-s, c, m) with
     # m = a_x c + a_y s, and b = C2 (w_x, w_y) = a_z (c w_x + s w_y)
-    (c0, s0, rc0, rs0), (c1, s1, rc1, rs1), (c2, s2, rc2, rs2), (k0, k1, k2) = geometry
+    (c0, s0, rc0, rs0), (c1, s1, rc1, rs1), (c2, s2, rc2, rs2), _ = geometry
     m0 = (rc0 * r00 + rs0 * r01) * c0 + (rc0 * r10 + rs0 * r11) * s0
     m1 = (rc1 * r00 + rs1 * r01) * c1 + (rc1 * r10 + rs1 * r11) * s1
     m2 = (rc2 * r00 + rs2 * r01) * c2 + (rc2 * r10 + rs2 * r11) * s2
     b0 = (rc0 * r20 + rs0 * r21) * (c0 * wx + s0 * wy)
     b1 = (rc1 * r20 + rs1 * r21) * (c1 * wx + s1 * wy)
     b2 = (rc2 * r20 + rs2 * r21) * (c2 * wx + s2 * wy)
-    # Cramer's rule on the columns (-s, c, m): det = m.k, and the numerators
-    # are b.(c x m), b.(s x m) and b.k
-    det = m0 * k0 + m1 * k1 + m2 * k2
-    if not abs(det) > singular:  # negated, so that a NaN determinant fails too
+    det, rates = _solve_coupling(geometry, (m0, m1, m2), (b0, b1, b2), singular)
+    if rates is None:
         raise IntegrationDiverged(f"coupling became singular mid-path: det C1 = {det:.3g}")
-    x_dot = b0 * (c1 * m2 - c2 * m1) + b1 * (c2 * m0 - c0 * m2) + b2 * (c0 * m1 - c1 * m0)
-    y_dot = b0 * (s1 * m2 - s2 * m1) + b1 * (s2 * m0 - s0 * m2) + b2 * (s0 * m1 - s1 * m0)
-    w_z = b0 * k0 + b1 * k1 + b2 * k2
-    return x_dot / det, y_dot / det, w_z / det + psi_target * st
+    return rates[0], rates[1], rates[2] + psi_target * st
 
 
 def integrate_parasitic_path(
@@ -315,11 +331,10 @@ def integrate_parasitic_path(
     Classical fixed-step fourth-order Runge-Kutta on the path parameter,
     on plain floats.  The platform angular rate is the exact one of the
     time-varying orientation, not a small-angle approximation.  Raises
-    IntegrationDiverged when the coupling turns singular (|det C1| at most
-    1e-12 r_platform), when the state stops being finite, or when the end
-    point drifts off the constraint manifold by more than the
-    compatibility tolerance.  Like solve_loop_closure, it does not check
-    that the limbs reach the pose.
+    IntegrationDiverged when the coupling turns singular (coupling_matrices's
+    rule), when the state stops being finite, or when the end point drifts
+    off the constraint manifold by more than the compatibility tolerance.
+    Like solve_loop_closure, it does not check that the limbs reach the pose.
     """
     _check_tilt_bounds(psi, theta)
     try:
@@ -329,7 +344,7 @@ def integrate_parasitic_path(
     if steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     geometry = _path_geometry(params)
-    singular = 1e-12 * params.r_platform
+    singular = COUPLING_TOL * params.r_platform
     h = 1.0 / steps
     half = 0.5 * h
     sixth = h / 6.0

@@ -222,9 +222,9 @@ def test_cli_empty_stroke_interval_is_config_error(tmp_path, capsys, command):
 
 
 def test_cli_exit_code_tilt_bounds(capsys):
-    for psi_deg in ("75", "nan"):
+    for psi_deg, message in [("75", "60 degrees"), ("inf", "60 degrees"), ("nan", "finite")]:
         assert main(["ik", "--machine", "a3", "--psi-deg", psi_deg]) == 2
-        assert "60 degrees" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 def test_cli_non_finite_heave_is_config_error(tmp_path, capsys):

@@ -27,6 +27,7 @@ from pkm.geometry import (
     default_params,
     home_height,
     home_pose,
+    pose_from_tilts,
     rot_x,
     rot_y,
     rot_z,
@@ -204,7 +205,7 @@ def _homogeneous(rates, r_platform):
 def test_path_rates_match_numpy_reference(name, rng):
     params = PATH_GEOMETRIES[name]
     geometry = parasitic._path_geometry(params)
-    singular = 1e-12 * params.r_platform
+    singular = parasitic.COUPLING_TOL * params.r_platform
     for _ in range(1000):
         psi_t, theta_t = rng.uniform(-TILT_60, TILT_60, size=2)
         s = rng.uniform(0.0, 1.0)
@@ -290,12 +291,19 @@ def test_integration_step_count_validation(params):
 
 
 def test_tilt_bounds_enforced(params):
-    for beyond in (math.radians(61.0), parasitic.TILT_LIMIT + 1e-12, math.nan):
-        with pytest.raises(ValueError):
+    beyond_range = "tilt targets beyond 60 degrees are outside the supported range"
+    for beyond, scalar_message, grid_message in [
+        (math.radians(61.0), beyond_range, beyond_range),
+        (parasitic.TILT_LIMIT + 1e-12, beyond_range, beyond_range),
+        (math.inf, beyond_range, "axes must be finite"),
+        (-math.inf, beyond_range, "axes must be finite"),
+        (math.nan, "tilt targets must be finite", "axes must be finite"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{scalar_message}$"):
             solve_loop_closure(params, beyond, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{scalar_message}$"):
             integrate_parasitic_path(params, 0.0, beyond)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{grid_message}$"):
             evaluate_grid(params, np.array([0.0, beyond]), np.zeros(1), home_height(params))
 
 
@@ -347,6 +355,81 @@ def test_grid_closure_matches_closed_form(layout, r_platform, grid_n, tilt_max_d
     gain = np.abs(np.linalg.inv(C1)).sum(axis=2)
     bound = gain * (parasitic.CLOSURE_TOL + 2.0 * rounding)[:, None]
     assert np.all(np.abs(u - exact)[ok] <= bound[ok])
+
+
+# the closure's layouts and two where C1 is singular: limbs 1e-4 rad apart,
+# where |det C1| falls below COUPLING_TOL * r_platform, and twin limbs,
+# where it is exactly zero
+COUPLING_LAYOUTS = {
+    **CLOSURE_LAYOUTS,
+    "clustered_1e-4": (0.0, 1e-4, 2e-4),
+    "twin_limbs": (0.0, 0.0, 0.5 * math.pi),
+}
+COUPLING_POSES = [(0.0, 0.0), (0.2, 0.1), (-0.5, 0.4)]
+
+
+@pytest.mark.parametrize("layout", list(COUPLING_LAYOUTS))
+@pytest.mark.parametrize("variant", list(Variant), ids=["z3", "a3"])
+def test_coupling_and_path_share_one_singularity_rule(variant, layout):
+    params = MechanismParams(variant=variant, azimuths=COUPLING_LAYOUTS[layout])
+    for psi, theta in COUPLING_POSES:
+        try:
+            pose = solve_loop_closure(params, psi, theta).pose
+        except NoConvergence:  # as on twin limbs, where gamma is free
+            pose = pose_from_tilts(psi, theta, home_height(params))
+        try:
+            coupling_matrices(params, pose)
+            coupling_singular = False
+        except CouplingSingular:
+            coupling_singular = True
+        try:
+            integrate_parasitic_path(params, psi, theta)
+            path_singular = False
+        except IntegrationDiverged as exc:
+            path_singular = "coupling became singular" in str(exc)
+        assert coupling_singular == path_singular == (layout in ("clustered_1e-4", "twin_limbs"))
+
+
+@pytest.mark.parametrize("k", [-20, 0, 7, 10, 20])
+@pytest.mark.parametrize("variant", list(Variant), ids=["z3", "a3"])
+def test_coupling_scales_exactly_with_the_machine(variant, k):
+    # lengths times 2^k scale C1's third column, C2 and det C1 by 2^k, all
+    # exactly: C's translation rows scale by 2^k and its rotation row stays,
+    # and the singularity threshold scales with them
+    stock = default_params(variant)
+    f = 2.0**k
+    scaled = MechanismParams(
+        variant=variant,
+        r_base=f * stock.r_base,
+        r_platform=f * stock.r_platform,
+        link_length=f * stock.link_length,
+    )
+    coupling_matrices(scaled, home_pose(scaled))
+    for psi, theta in COUPLING_POSES:
+        cp = solve_loop_closure(stock, psi, theta)
+        shift = cp.parasitic
+        pose = pose_from_tilts(psi, theta, f * cp.z, f * shift.x, f * shift.y, shift.gamma)
+        want = coupling_matrices(stock, cp.pose).C
+        got = coupling_matrices(scaled, pose).C
+        assert got[:2].tobytes() == (f * want[:2]).tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
+
+
+@pytest.mark.parametrize(
+    "variant, layout",
+    [(Variant.Z3_PRS, "stock"), (Variant.A3_RPS, "stock"), (Variant.A3_RPS, "skewed")],
+    ids=["z3", "a3", "a3_skewed"],
+)
+def test_coupling_matches_lu(variant, layout):
+    # Cramer's rule is not backward stable in general (Higham, 2002), so
+    # C is held to numpy's LU solve on well-conditioned machines
+    params = MechanismParams(variant=variant, azimuths=COUPLING_LAYOUTS[layout])
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        cp = solve_loop_closure(params, *rng.uniform(-1.0, 1.0, size=2).tolist())
+        coupling = coupling_matrices(params, cp.pose)
+        lu = np.linalg.solve(coupling.C1, coupling.C2)
+        assert np.abs(coupling.C - lu).max() <= 1e-12 * np.abs(coupling.C).max()
 
 
 def test_parasitic_map_fields(params):
