@@ -26,16 +26,25 @@ _EYE6 = _freeze(np.eye(6))
 
 @dataclass(frozen=True, eq=False, slots=True)
 class JacobianSet:
-    """G = [Ga | Gc], the feasible-space projector P and conditioning data."""
+    """G = [Ga | Gc], the feasible-space projector P and conditioning data.
+
+    Only G, twist_basis (the left singular vectors of Gc: constraint twists,
+    then feasible twists), J_hom and kappa are stored.  Ga, Gc and
+    feasible_basis are views of them, and P is built anew on each read.
+    """
 
     G: np.ndarray
-    Ga: np.ndarray
-    Gc: np.ndarray
-    P: np.ndarray
-    feasible_basis: np.ndarray
+    twist_basis: np.ndarray
     J_hom: np.ndarray
     kappa: float
     moment_convention: str = MOMENT_CONVENTION
+
+    Ga = property(lambda self: self.G[:, :3], doc="Actuation wrenches, a view of G.")
+    Gc = property(lambda self: self.G[:, 3:], doc="Constraint wrenches, a view of G.")
+    feasible_basis = property(
+        lambda self: self.twist_basis[:, 3:], doc="Feasible twists, a view of twist_basis."
+    )
+    P = property(lambda self: _freeze(_projector(self.twist_basis)), doc="I - Gc @ pinv(Gc).")
 
 
 def _wrench_matrix(
@@ -152,7 +161,7 @@ def _constraint_rank(scaled: np.ndarray, Gc: np.ndarray, r: float):
 def build_jacobian(
     params: MechanismParams, pose: Pose, states: list[LimbState] | None = None
 ) -> JacobianSet:
-    """Assemble G for a compatible pose and derive projector and conditioning.
+    """Assemble G for a compatible pose, the twist basis of its Gc and the conditioning.
 
     Raises SingularLimb for the first singular limb, then RankDeficiency
     or SingularConfiguration.
@@ -162,17 +171,10 @@ def build_jacobian(
     rows = np.array([(s.attachment, s.l1, s.actuated, s.revolute) for s in states])
     G, J_hom, kappa, checks = _jacobian_stage(params, *rows.swapaxes(0, 1))
     raise_first(checks)
-    # frozen before Ga, Gc and feasible_basis are taken as views, so those are read-only too
-    _freeze(G)
-    U = _freeze(np.linalg.svd(G[:, 3:], full_matrices=True)[0])  # constraint | feasible twists
+    U = np.linalg.svd(G[:, 3:], full_matrices=True)[0]  # constraint | feasible twists
+    # frozen in place, so the views Ga, Gc and feasible_basis are read-only too
     return JacobianSet(
-        G=G,
-        Ga=G[:, :3],
-        Gc=G[:, 3:],
-        P=_freeze(_projector(U)),
-        feasible_basis=U[:, 3:],
-        J_hom=_freeze(J_hom),
-        kappa=float(kappa),
+        G=_freeze(G), twist_basis=_freeze(U), J_hom=_freeze(J_hom), kappa=float(kappa)
     )
 
 

@@ -34,7 +34,7 @@ from .stiffness import STIFFNESS_FIELDS, _limb_rates, _stiffness_matrix
 RECORD = ("x_mm", "y_mm", "gamma_rad", "kappa", *STIFFNESS_FIELDS)
 # cells per block.  The peak memory is the table plus one block's stacks (G,
 # its QR factors); larger blocks run slightly faster but raise that peak in
-# step (a3 at 45^2, three offsets: 729 kB at 256 cells, 2403 kB at 1024)
+# step (a3 at 45^2, three offsets, cold: 742 KiB at 256 cells, 2462 KiB at 1024)
 BLOCK_CELLS = 256
 
 OK = CellStatus.OK

@@ -29,17 +29,27 @@ class LimbStiffness:
     k_c: float
 
 
+def _diagonal(i: int) -> property:
+    return property(lambda self: float(self.K[i, i]), doc=f"K[{i}, {i}] as a float.")
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class StiffnessResult:
+    """K = G @ diag(rates) @ G^T, with the Jacobian and the spring rates it was built from.
+
+    rates holds the actuation, then the constraint rates of the three limbs.
+    The six diagonal measures and limb_stiffness are derived on each read.
+    """
+
     K: np.ndarray
-    kpx: float
-    kpy: float
-    kpz: float
-    kax: float
-    kay: float
-    kaz: float
     jacobian: JacobianSet
-    limb_stiffness: tuple[LimbStiffness, LimbStiffness, LimbStiffness]
+    rates: np.ndarray
+
+    kpx, kpy, kpz, kax, kay, kaz = map(_diagonal, range(6))
+
+    @property
+    def limb_stiffness(self) -> tuple[LimbStiffness, LimbStiffness, LimbStiffness]:
+        return tuple(map(LimbStiffness, self.rates[:3].tolist(), self.rates[3:].tolist()))
 
     def diagonal_measures(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in STIFFNESS_FIELDS}
@@ -99,21 +109,8 @@ def assemble_stiffness(
         states = inverse_kinematics(params, pose)
     if jac is None:
         jac = build_jacobian(params, pose, states)
-    rates = _limb_rates(params, np.array([state.l1 for state in states]))
-    K = _freeze(_stiffness_matrix(jac.G, rates))
-    k_a = params.stiffness.actuation
-    kpx, kpy, kpz, kax, kay, kaz = K.diagonal().tolist()
-    return StiffnessResult(
-        K=K,
-        kpx=kpx,
-        kpy=kpy,
-        kpz=kpz,
-        kax=kax,
-        kay=kay,
-        kaz=kaz,
-        jacobian=jac,
-        limb_stiffness=tuple([LimbStiffness(k_a, k_c) for k_c in rates[3:].tolist()]),
-    )
+    rates = _freeze(_limb_rates(params, np.array([state.l1 for state in states])))
+    return StiffnessResult(K=_freeze(_stiffness_matrix(jac.G, rates)), jacobian=jac, rates=rates)
 
 
 def deflection_under_load(result: StiffnessResult, wrench: np.ndarray) -> Deflection:

@@ -1,4 +1,5 @@
 """The scripts under scripts/, run as a user would run them."""
+import importlib.util
 import re
 import subprocess
 import sys
@@ -97,3 +98,44 @@ def test_untested_lines_lists_what_one_test_leaves_unrun():
     assert "C1 = _freeze(_constraint_rows(params, attachments))" not in texts
     assert 'raise CouplingSingular(f"coupling system determinant {det:.3g} too small")' in texts
     assert 'return "tie" if not winners else "mixed"' in texts
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_of_synthetic_runs():
+    # parent runs 10..19 over seeds 1..10: quartiles 11.75, 14.5 and 17.25,
+    # so an interquartile range of 5.5
+    bench = load_script("bench_pairs.py")
+    metrics = [("a", "lower"), ("b", "lower"), ("c", "higher"), ("d", "lower")]
+    runs = []
+    for seed in range(1, 11):
+        p = 9.0 + seed
+        d = p + 1.0 if seed in (3, 8) else p - 6.0
+        change = {"a": p - 6.0, "b": p - 5.0, "c": p - 6.0, "d": d}
+        sides = [("parent", dict.fromkeys("abcd", p), 0), ("change", change, int(seed == 4))]
+        for side, values, failed in sides if seed % 2 else sides[::-1]:
+            runs.append({"side": side, "workload": "w", "seed": seed, **values,
+                         "failed": failed, "correct": not failed})
+    summary = bench.summarize(runs, metrics)
+    assert list(summary) == ["w"]
+    w = summary["w"]
+    assert w["failed"] == {"parent": 0, "change": 1}
+    parent = {"q1": 11.75, "median": 14.5, "q3": 17.25}
+    assert all(w[name]["parent"] == parent and w[name]["pairs"] == 10 for name in "abcd")
+    assert w["a"]["change"] == {"q1": 5.75, "median": 8.5, "q3": 11.25}
+    # better in every pair, by more than the spread
+    assert (w["a"]["wins"], w["a"]["verdict"]) == (10, "gain")
+    # better in every pair, but by 5, within the spread
+    assert (w["b"]["wins"], w["b"]["verdict"]) == (10, "unresolved")
+    # higher is better, and the change is 6 lower in every pair
+    assert (w["c"]["wins"], w["c"]["verdict"]) == (0, "loss")
+    # better by 6 in only 8 of 10 pairs
+    assert (w["d"]["wins"], w["d"]["verdict"]) == (8, "unresolved")
+    assert bench.verdict(9, 1, 10, 6.0, 5.5) == "gain"
+    assert bench.verdict(8, 0, 10, 6.0, 5.5) == "unresolved"
+    assert "change better in 8 of 10 pairs: unresolved" in bench.report(summary, metrics)

@@ -1,7 +1,9 @@
-"""The per-pose value types: slotted and frozen, and copied field by field."""
+"""The per-pose value types: slotted and frozen, copied field by field, and deriving the rest."""
 import copy
 import dataclasses
+import gc
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,9 +55,18 @@ def one_query(params):
     return cp, states, jac, result, deflection_under_load(result, LOAD)
 
 
+def properties(kind) -> list[str]:
+    """The names of kind's public properties: the values it derives on each read."""
+    return [
+        name
+        for name in dir(kind)
+        if not name.startswith("_") and isinstance(getattr(kind, name), property)
+    ]
+
+
 def reachable(root):
-    """Every object reachable from root through dataclass fields, tuples and
-    lists, and every array through its base, each once."""
+    """Every object reachable from root through dataclass fields and public
+    properties, tuples and lists, and every array through its base, each once."""
     seen, stack = set(), [root]
     while stack:
         item = stack.pop()
@@ -65,6 +76,7 @@ def reachable(root):
         yield item
         if dataclasses.is_dataclass(item):
             stack.extend(getattr(item, f.name) for f in dataclasses.fields(item))
+            stack.extend(getattr(item, name) for name in properties(type(item)))
         elif isinstance(item, (tuple, list)):
             stack.extend(item)
         elif isinstance(item, np.ndarray) and item.base is not None:
@@ -180,11 +192,74 @@ def test_every_array_a_query_returns_is_read_only(variant):
     roots = (cp, states, jac, result, deflection, coupling, rate)
     arrays = [item for item in reachable(roots) if isinstance(item, np.ndarray)]
     # 2 pose; 6 rows per limb and the 6 stacks they view (4 from IK, the
-    # layout's anchor and tangent); 6 Jacobian fields and U; K; 2 deflection;
-    # 3 coupling; 2 rate
-    assert len(arrays) == 2 + 3 * 6 + 6 + 7 + 1 + 2 + 3 + 2
+    # layout's anchor and tangent); 3 Jacobian fields (G, twist_basis, J_hom)
+    # and 4 derived (the views Ga, Gc and feasible_basis, a fresh P); K and
+    # the rates; 2 deflection; 3 coupling; 2 rate
+    assert len(arrays) == 2 + 3 * 6 + 6 + 7 + 2 + 2 + 3 + 2
     assert [a for a in arrays if a.flags.writeable] == []
     with pytest.raises(ValueError, match="read-only"):
         result.jacobian.G[:, :3] *= 0
     # a later solve on the same result still sees the stiffness it was built with
     assert same(deflection_under_load(result, LOAD), deflection)
+
+
+@pytest.mark.parametrize("kind", [JacobianSet, StiffnessResult], ids=lambda kind: kind.__name__)
+def test_copies_derive_the_same_values(built, kind):
+    instance = built[kind]
+    names = properties(kind)
+    assert names
+    for twin in (pickle.loads(pickle.dumps(instance)), copy.deepcopy(instance), copy.copy(instance)):
+        for name in names:
+            assert same(getattr(twin, name), getattr(instance, name)), name
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_replace_derives_from_the_new_fields(variant):
+    _, _, jac, result, _ = one_query(default_params(variant))
+    G = 2.0 * jac.G
+    U = jac.twist_basis[:, [3, 4, 5, 0, 1, 2]]  # feasible twists first
+    moved = dataclasses.replace(jac, G=G, twist_basis=U)
+    assert same(moved.Ga, G[:, :3]) and same(moved.Gc, G[:, 3:])
+    assert same(moved.feasible_basis, U[:, 3:])
+    assert same(moved.P, np.eye(6) - U[:, :3] @ U[:, :3].T)
+    with pytest.raises(TypeError):
+        dataclasses.replace(jac, P=jac.P)  # derived, so not a field
+
+    K, rates = 2.0 * result.K, result.rates[::-1].copy()
+    moved = dataclasses.replace(result, K=K, rates=rates)
+    assert list(moved.diagonal_measures().values()) == K.diagonal().tolist()
+    assert moved.kpx == 2.0 * result.kpx
+    assert moved.limb_stiffness == tuple(
+        LimbStiffness(k_a, k_c) for k_a, k_c in zip(rates[:3].tolist(), rates[3:].tolist())
+    )
+
+
+def retained_bytes_per_query(params, n: int) -> float:
+    """The bytes that n kept (cp, result, deflection) triples hold, per triple."""
+    rng = np.random.default_rng(32)
+    tilts = rng.uniform(-0.3, 0.3, (n, 2)).tolist()
+    loads = rng.normal(size=(n, 6)) * LOAD
+    one_query(params)  # fills the machine's caches
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = []
+        for (psi, theta), load in zip(tilts, loads):
+            cp = solve_loop_closure(params, psi, theta)
+            result = assemble_stiffness(params, cp.pose)
+            kept.append((cp, result, deflection_under_load(result, load)))
+        gc.collect()
+        return (tracemalloc.get_traced_memory()[0] - before) / n
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_a_kept_query_holds_no_derived_copies(variant):
+    # about 2.81 kB a triple, with its tuple and list slot; storing Ga, Gc,
+    # feasible_basis, P, the six diagonals and the limb stiffness took 3.95 kB
+    assert retained_bytes_per_query(default_params(variant), 200) <= 3300
