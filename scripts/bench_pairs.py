@@ -2,24 +2,25 @@
 """Alternating parent/change pairs of perfbench runs, summarised into a BENCH_<n>.json.
 
     python3 scripts/bench_pairs.py --parent REV [--workloads pose_queries,...]
-        [--pairs 10] [--first-seed N] [--seconds 30] [--tree DIR]
+        [--pairs 10] [--first-seed N] [--tree DIR]
         [--out BENCH_<n>.json] [--claim TEXT] [--digests]
 
 Each pair runs `python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0` once in the parent tree (`git archive REV`) and once in the
-change tree (the working tree's tracked and unignored files), the parent
-first in odd-numbered pairs.  Before every run, that tree is extracted
-afresh to one fixed directory, --tree, so both sides run from the same
-path.  Pair k of a workload runs seed first-seed + k - 1 on both sides.
+--trace 0`, T being BENCHMARK.json's run_seconds, once in the parent tree
+(`git archive REV`) and once in the change tree (the working tree's
+tracked and unignored files), the parent first in odd-numbered pairs.
+Before every run, that tree is extracted afresh to one fixed directory,
+--tree, so both sides run from the same path.  Pair k of a workload runs
+seed first-seed + k - 1 on both sides.
 
 The output file keeps every run, and per workload and end-to-end metric of
 BENCHMARK.json the parent's and the change's medians and quartiles, the
 pairs the change won and a verdict.  A gain (or a loss) is resolved only
-when the change is better (or worse) in at least 9 of 10 pairs and the
-median gap exceeds the parent's interquartile range; anything else is
-unresolved.  --digests runs this tree's scripts/scalar_digest.py and
-scripts/output_digest.py in both trees first and prints the outputs that
-differ.
+when there are at least 10 pairs, the change is better (or worse) in at
+least 9 of 10 of them and the median gap exceeds the parent's
+interquartile range; anything else is unresolved.  --digests runs this
+tree's scripts/scalar_digest.py and scripts/output_digest.py in both trees
+first and prints the outputs that differ.
 
 The script changes nothing under perfbench/ or in BENCHMARK.json, and it
 passes its own environment to every run unchanged, apart from PYTHONPATH
@@ -33,7 +34,6 @@ import json
 import math
 import os
 import shutil
-import statistics
 import subprocess
 import sys
 import tarfile
@@ -43,29 +43,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 import env  # noqa: E402  (perfbench's provenance: cores, CPU, Python and numpy)
+import suite  # noqa: E402  (BENCHMARK.json as perfbench reads it, and its quartiles)
 
+MIN_PAIRS = 10  # for a resolved gain or loss
 WIN_SHARE = 0.9  # of the pairs, for a resolved gain or loss
 DIGESTS = ("scalar_digest.py", "output_digest.py")
-
-
-def end_to_end_metrics(root: Path = ROOT) -> list[tuple[str, str]]:
-    """(name, better) of every end-to-end metric that BENCHMARK.json declares."""
-    declared = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return [(m["name"], m["better"]) for m in declared["end_to_end"]]
+METRICS = [(m["name"], m["better"]) for m in suite.BENCH["end_to_end"]]
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
-    """q1, median and q3, as statistics.quantiles computes them, to 4 decimals."""
-    if len(values) == 1:
-        q1 = median = q3 = values[0]
-    else:
-        q1, median, q3 = statistics.quantiles(values, n=4)
+    """q1, median and q3, as perfbench's suite computes them, to 4 decimals."""
+    median, q1, q3, _ = suite.spread(values)
     return {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4)}
 
 
 def verdict(wins: int, losses: int, pairs: int, gap: float, spread: float) -> str:
     """gain, loss or unresolved; gap is the parent's median minus the change's,
-    signed so that a positive gap favours the change, and spread the parent's IQR."""
+    signed so that a positive gap favours the change, and spread the parent's IQR.
+    Fewer than MIN_PAIRS pairs resolve nothing."""
+    if pairs < MIN_PAIRS:
+        return "unresolved"
     needed = math.ceil(WIN_SHARE * pairs)
     if wins >= needed and gap > spread:
         return "gain"
@@ -118,9 +115,9 @@ def summarize(runs: list[dict], metrics: list[tuple[str, str]]) -> dict:
 
 def report(summary: dict, metrics: list[tuple[str, str]]) -> str:
     lines = [
-        "verdict rule: a gain (loss) is resolved when the change is better (worse) in at "
-        f"least {WIN_SHARE:.0%} of the pairs and the median gap exceeds the parent's "
-        "interquartile range; otherwise it is unresolved"
+        f"verdict rule: a gain (loss) is resolved when there are at least {MIN_PAIRS} "
+        f"pairs, the change is better (worse) in at least {WIN_SHARE:.0%} of them and the "
+        "median gap exceeds the parent's interquartile range; otherwise it is unresolved"
     ]
     for workload, block in summary.items():
         lines.append(f"{workload}: failed operations parent {block['failed']['parent']}, "
@@ -160,18 +157,19 @@ def extract(side: str, parent: str, tree: Path) -> None:
             shutil.copy2(source, tree / name)
 
 
-def one_run(tree: Path, workload: str, seed: int, seconds: float,
-            metrics: list[tuple[str, str]]) -> dict:
+def one_run(tree: Path, workload: str, seed: int) -> dict:
+    """One untraced run.py in tree.  suite.one_run cannot serve: it runs the
+    run.py of this checkout, in this checkout, and reads its record there."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(suite.BENCH["run_seconds"]), "--trace", "0"],
         cwd=tree, capture_output=True, text=True,
     )
     if done.returncode != 0:
         sys.stderr.write(done.stdout + done.stderr)
         raise RuntimeError(f"perfbench/run.py exited with {done.returncode}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    values = {name: result["metrics"][name]["value"] for name, _ in metrics}
+    values = {name: result["metrics"][name]["value"] for name, _ in METRICS}
     return {**values, "failed": result["failed"], "correct": result["correct"]}
 
 
@@ -200,20 +198,18 @@ def main(argv=None) -> int:
                         help="comma-separated perfbench workloads")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--tree", type=Path,
                         default=Path(tempfile.gettempdir()) / "pkm-bench-pairs-tree")
     parser.add_argument("--out", type=Path, help="the BENCH file to write")
     parser.add_argument("--claim", default=None, help="the claimed gain, if any")
     parser.add_argument("--digests", action="store_true")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")  # for quartiles
     tree = args.tree.resolve()
     if tree == ROOT or ROOT in tree.parents:
         parser.error("--tree must lie outside this checkout")
     workloads = args.workloads.split(",")
-    metrics = end_to_end_metrics()
     if args.digests:
         digests(args.parent, tree)
     seeds = range(args.first_seed, args.first_seed + args.pairs)
@@ -223,23 +219,23 @@ def main(argv=None) -> int:
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
                 extract(side, args.parent, tree)
-                run = one_run(tree, workload, seed, args.seconds, metrics)
+                run = one_run(tree, workload, seed)
                 runs.append({"side": side, "workload": workload, "seed": seed, **run})
                 print(f"{workload} seed {seed} {side}: "
-                      + ", ".join(f"{name} {run[name]:.6g}" for name, _ in metrics)
+                      + ", ".join(f"{name} {run[name]:.6g}" for name, _ in METRICS)
                       + f", failed {run['failed']}", flush=True)
     shutil.rmtree(tree, ignore_errors=True)
-    summary = summarize(runs, metrics)
-    print(report(summary, metrics))
+    summary = summarize(runs, METRICS)
+    print(report(summary, METRICS))
     if args.out:
         host = env.provenance()
         bench = {
             "claim": args.claim,
             "what": f"end-to-end metrics of {args.pairs} alternating parent/change pairs per "
                     f"workload against {args.parent}; each run is one `python3 perfbench/run.py "
-                    f"--workload W --seed N --seconds {args.seconds:g} --trace 0`, both trees "
-                    "extracted in turn to one fixed path, the parent first in odd-numbered "
-                    "pairs; runs lists every run",
+                    f"--workload W --seed N --seconds {suite.BENCH['run_seconds']} --trace 0`, "
+                    "both trees extracted in turn to one fixed path, the parent first in "
+                    "odd-numbered pairs; runs lists every run",
             "cores": host["nproc"],
             "cpu": host["cpu_model"],
             "python": host["python"],

@@ -138,4 +138,9 @@ def test_bench_pairs_summary_of_synthetic_runs():
     assert (w["d"]["wins"], w["d"]["verdict"]) == (8, "unresolved")
     assert bench.verdict(9, 1, 10, 6.0, 5.5) == "gain"
     assert bench.verdict(8, 0, 10, 6.0, 5.5) == "unresolved"
+    # fewer than 10 pairs resolve nothing, however they fall
+    assert bench.verdict(1, 0, 1, 1.0, 0.0) == "unresolved"
+    assert bench.verdict(0, 9, 9, -6.0, 5.5) == "unresolved"
+    nine = bench.summarize([run for run in runs if run["seed"] < 10], metrics)["w"]
+    assert (nine["a"]["wins"], nine["a"]["pairs"], nine["a"]["verdict"]) == (9, 9, "unresolved")
     assert "change better in 8 of 10 pairs: unresolved" in bench.report(summary, metrics)
