@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Print one SHA-256 over every output of the scalar per-pose chain.
 
-Seeded queries on six machines run closure, coupling, IK, Jacobian, task
-rate projection, stiffness and deflection; seeded RK4 paths run
-integrate_parasitic_path.  The digest covers the raw bytes of every float
-and array the chain returns, and the class and message of every error it
-raises.  Two trees that print the same digest gave the same bits.  The
-digest depends on the host's numpy and BLAS, so compare two trees on one
-host only:
+Seeded queries on six machines run closure, coupling, IK, Jacobian (and
+homogenized_jacobian on its Ga and Gc), task rate projection, stiffness
+and deflection; seeded RK4 paths run integrate_parasitic_path.  The
+digest covers the raw bytes of every float and array the chain returns,
+and the class and message of every error it raises.  Two trees that
+print the same digest gave the same bits.  The digest depends on the
+host's numpy and BLAS, so compare two trees on one host only:
 
     PYTHONPATH=src python3 scripts/scalar_digest.py [--queries N] [--paths N]
 
@@ -74,6 +74,8 @@ def query(digest: Digest, params: MechanismParams, psi, theta, z, wrench, xdot) 
         digest.feed(s.anchor, s.attachment, s.g, s.l1, s.actuated_length, s.actuated, s.revolute)
     jac = pkm.build_jacobian(params, cp.pose, states)
     digest.feed(jac.G, jac.Ga, jac.Gc, jac.P, jac.feasible_basis, jac.J_hom, jac.kappa)
+    J, kappa = pkm.homogenized_jacobian(jac.Ga, jac.Gc, params)
+    digest.feed(J, kappa)
     rate = pkm.project_task_rate(jac.P, xdot)
     digest.feed(rate.v, rate.w)
     result = pkm.assemble_stiffness(params, cp.pose, states, jac)

@@ -115,47 +115,64 @@ def _constraint_rank(scaled: np.ndarray, Gc: np.ndarray, r: float):
     constraint wrenches (..., 6, 3), and the RankDeficiency check of them
     and of Gc, their moment rows times r.
 
-    Q is the complete QR factor of scaled.  LAPACK's SVD of a 6 x 3 matrix
-    starts from this very QR, so Q[..., 3:] is the full SVD's U[..., 3:]
-    bit for bit (tests/test_jacobian.py guards this).  A cheap bound rules
-    rank loss out for most cells: sigma3 / sigma1 >= |r11 r22 r33| / |R|_F^3,
-    as |r11 r22 r33| = sigma1 sigma2 sigma3 and |R|_F >= sigma1 >= sigma2.
+    At one pose Q is the full SVD's U, and _rank_verdict judges its singular
+    values.  A stack takes the complete QR factor instead.  LAPACK's SVD of
+    a 6 x 3 matrix starts from this very QR, so Q[..., 3:] is the full SVD's
+    U[..., 3:] bit for bit (tests/test_jacobian.py guards this).  A cheap
+    bound rules rank loss out for most cells of a stack:
+    sigma3 / sigma1 >= |r11 r22 r33| / |R|_F^3, as
+    |r11 r22 r33| = sigma1 sigma2 sigma3 and |R|_F >= sigma1 >= sigma2.
     Where the bound clears 4 max(r, 1/r) RANK_TOL, the cell keeps full rank
     with a factor 2 to spare for rounding.  The other cells take the full
-    SVD of scaled, whose U replaces Q there, and the rank check runs on its
-    ratio.  That check runs on Gc only where the scaled ratio is below
-    2 max(r, 1/r) RANK_TOL.  Elsewhere ratio(Gc) >= ratio(scaled) min(r, 1/r)
-    rules rank loss out, again with a factor 2 to spare for rounding.
+    SVD of scaled, whose U replaces Q there, and _rank_verdict judges them
+    as it judges one pose.  At one pose the QR would skip nothing: its numpy
+    wrapper costs more than the SVD it was to avoid.
     """
+    bound = 2.0 * max(r, 1.0 / r) * RANK_TOL
+    if scaled.ndim == 2:
+        U, sigma, _ = np.linalg.svd(scaled, full_matrices=True)
+        return U, _rank_verdict(sigma, Gc, bound)
     Q, R = np.linalg.qr(scaled, mode="complete")
     # |R|_F^2 counts as at least 1e-200, where the bound could underflow; an
     # overflow or a NaN clears nothing (the product is at most 0.2 |R|_F^3)
     with np.errstate(over="ignore", invalid="ignore"):
         product = np.abs(R.diagonal(0, -2, -1).prod(axis=-1))
         cube = np.maximum((R * R).sum(axis=(-2, -1)), 1e-200) ** 1.5
-    bound = 2.0 * max(r, 1.0 / r) * RANK_TOL
-    # an array at one pose too, where count_nonzero costs less
-    unclear = np.asarray(~(product > 2.0 * bound * cube))
+    unclear = ~(product > 2.0 * bound * cube)
     lost = np.zeros(unclear.shape, dtype=bool)
-    sigma = None
+    message = None  # asked only of a cell that lost rank, so of an unclear one
     if np.count_nonzero(unclear):
         U, sigma, _ = np.linalg.svd(scaled[unclear], full_matrices=True)
         Q[unclear] = U
-        low, top = sigma[:, -1], sigma[:, 0]
-        lost_here = low < RANK_TOL * top
-        near = ~lost_here & (low < bound * top)
-        if np.count_nonzero(near):
-            unscaled = np.linalg.svd(Gc[unclear][near], compute_uv=False)
-            sigma[near] = unscaled
-            lost_here[near] = unscaled[:, -1] < RANK_TOL * unscaled[:, 0]
-        lost[unclear] = lost_here
+        lost[unclear], _, message = _rank_verdict(sigma, Gc[unclear], bound)
+    return Q, (lost, RankDeficiency, message)
+
+
+def _rank_verdict(sigma: np.ndarray, Gc: np.ndarray, bound: float):
+    """The RankDeficiency check (lost (...), error class, message) of
+    constraint wrenches Gc (..., 6, 3) from the singular values sigma (..., 3)
+    of their scaled copy, which it overwrites with Gc's where it takes them.
+
+    Rank is lost where sigma3 / sigma1 < RANK_TOL.  That check runs on Gc
+    only where the scaled ratio is below bound, 2 max(r, 1/r) RANK_TOL.
+    Elsewhere ratio(Gc) >= ratio(scaled) min(r, 1/r) rules rank loss out,
+    with a factor 2 to spare for rounding.
+    """
+    low, top = sigma[..., -1], sigma[..., 0]
+    lost = np.asarray(low < RANK_TOL * top)
+    near = ~lost & (low < bound * top)
+    if np.count_nonzero(near):
+        unscaled = np.linalg.svd(Gc[near], compute_uv=False)
+        sigma[near] = unscaled
+        lost[near] = unscaled[:, -1] < RANK_TOL * unscaled[:, 0]
 
     def message():
-        # asked at one pose that lost rank, so the gate did not clear it
-        rank = np.count_nonzero(sigma[0] >= RANK_TOL * sigma[0, 0])
+        # asked at one pose that lost rank; for a stack it names the first cell
+        first = sigma.reshape(-1, 3)[0]
+        rank = np.count_nonzero(first >= RANK_TOL * first[0])
         return f"constraint wrenches span only rank {rank}"
 
-    return Q, (lost, RankDeficiency, message)
+    return lost, RankDeficiency, message
 
 
 def build_jacobian(

@@ -57,10 +57,16 @@ class StiffnessResult:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Deflection:
-    """Platform deflection under a quasi-static load and the joint motions it implies."""
+    """Platform deflection under a quasi-static load and the joint motions it implies.
+
+    Only platform and G, the wrench matrix of the solve's JacobianSet, are
+    stored; joints, G^T @ platform, is built anew on each read.
+    """
 
     platform: np.ndarray
-    joints: np.ndarray
+    G: np.ndarray
+
+    joints = property(lambda self: _freeze(self.G.T @ self.platform), doc="G^T @ platform.")
 
 
 def _limb_rates(params: MechanismParams, l1: np.ndarray) -> np.ndarray:
@@ -139,7 +145,7 @@ def deflection_under_load(result: StiffnessResult, wrench: np.ndarray) -> Deflec
     if not (sigma[-1] > 0.0 and sigma[0] / sigma[-1] <= 1e12):
         raise SingularStiffness("feasible-space stiffness block is numerically singular")
     delta = _freeze(basis @ np.linalg.solve(K_ff, basis.T @ wrench))
-    return Deflection(platform=delta, joints=_freeze(result.jacobian.G.T @ delta))
+    return Deflection(platform=delta, G=result.jacobian.G)
 
 
 def stiffness_map_rotational(

@@ -174,8 +174,9 @@ def test_rank_deficiency_on_degenerate_azimuths():
 
 
 def test_constraint_projector_helper(params):
+    # both come from one full SVD of the same Gc
     jac = build_jacobian(params, home_pose(params))
-    assert np.max(np.abs(constraint_projector(jac.Gc) - jac.P)) < 1e-12
+    assert np.array_equal(constraint_projector(jac.Gc), jac.P)
 
 
 def test_project_task_rate_interface(params):
@@ -334,15 +335,15 @@ def test_qr_factor_matches_full_svd_bit_for_bit(monkeypatch, rng):
             )
 
 
-@pytest.mark.parametrize("r", [1e-11, 1.0, 250.0, 1e6], ids=["1e-11", "1", "stock", "1e6"])
-def test_gated_rank_check_matches_full_svd_check(monkeypatch, rng, r):
-    # the QR gate skips the SVD only where rank loss is ruled out: the
-    # verdict, the message and the complement match one full SVD per cell
+def rank_check_stacks(monkeypatch, rng):
+    """Constraint stacks (N, 6, 3) of every size, near rank 2 and at sizes
+    where the gate's bound would underflow or overflow, and the kernel's
+    cells on needle-sized, stock-sized and nearly singular machines."""
     needle = dict(r_base=1.4e-11, r_platform=1e-11, link_length=1.0)
     machines = [MechanismParams(v, **needle) for v in Variant]
     machines.append(MechanismParams(Variant.Z3_PRS, link_length=105.0))
     machines.append(MechanismParams(Variant.A3_RPS, link_length=100.001))
-    stacks = np.concatenate(
+    return np.concatenate(
         [
             rng.standard_normal((2000, 6, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (2000, 1, 1)),
             near_rank2_stacks(rng, 4000),
@@ -352,6 +353,18 @@ def test_gated_rank_check_matches_full_svd_check(monkeypatch, rng, r):
             *(kernel_constraint_stacks(monkeypatch, m, 9, 30.0) for m in machines),
         ]
     )
+
+
+RANK_CHECK_R = pytest.mark.parametrize(
+    "r", [1e-11, 1.0, 250.0, 1e6], ids=["1e-11", "1", "stock", "1e6"]
+)
+
+
+@RANK_CHECK_R
+def test_gated_rank_check_matches_full_svd_check(monkeypatch, rng, r):
+    # the QR gate skips the SVD only where rank loss is ruled out: the
+    # verdict, the message and the complement match one full SVD per cell
+    stacks = rank_check_stacks(monkeypatch, rng)
     scaled = scaled_by(stacks, r)
     Q, (lost, error, _) = jacobian._constraint_rank(scaled, stacks, r)
     U, want_lost, want_rank = constraint_rank_reference(scaled, stacks, r)
@@ -363,3 +376,41 @@ def test_gated_rank_check_matches_full_svd_check(monkeypatch, rng, r):
         _, (one_lost, _, message) = jacobian._constraint_rank(scaled[cell], stacks[cell], r)
         assert one_lost
         assert message() == f"constraint wrenches span only rank {want_rank[cell]}"
+
+
+@RANK_CHECK_R
+def test_one_pose_rank_check_matches_the_stack_call(monkeypatch, rng, r):
+    # one pose takes one full SVD where a stack takes the QR gate: every
+    # cell gets the stack's complement bits, verdict and message
+    stacks = rank_check_stacks(monkeypatch, rng)
+    scaled = scaled_by(stacks, r)
+    Q, (lost, _, _) = jacobian._constraint_rank(scaled, stacks, r)
+    assert 0 < np.count_nonzero(lost) < len(stacks)
+    for cell in range(len(stacks)):
+        U, (one_lost, error, message) = jacobian._constraint_rank(scaled[cell], stacks[cell], r)
+        assert U[:, 3:].tobytes() == Q[cell, :, 3:].tobytes(), cell
+        assert error is RankDeficiency
+        assert one_lost == lost[cell], cell
+        if one_lost:
+            one = slice(cell, cell + 1)
+            _, (_, _, stack_message) = jacobian._constraint_rank(scaled[one], stacks[one], r)
+            assert message() == stack_message()
+
+
+def test_one_pose_makes_no_qr_call(monkeypatch, params, rng):
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    for pose in (home_pose(params), random_compatible_pose(params, rng).pose):
+        jac = build_jacobian(params, pose)
+        homogenized_jacobian(jac.Ga, jac.Gc, params)
+        constraint_projector(jac.Gc)
+    assert calls == []
+    stack = np.stack([jac.Gc, 2.0 * jac.Gc])
+    jacobian._constraint_rank(stack, stack, 1.0)
+    assert calls == [(2, 6, 3)]

@@ -194,7 +194,8 @@ def test_every_array_a_query_returns_is_read_only(variant):
     # 2 pose; 6 rows per limb and the 6 stacks they view (4 from IK, the
     # layout's anchor and tangent); 3 Jacobian fields (G, twist_basis, J_hom)
     # and 4 derived (the views Ga, Gc and feasible_basis, a fresh P); K and
-    # the rates; 2 deflection; 3 coupling; 2 rate
+    # the rates; 2 deflection (platform and a fresh joints; its G is the
+    # Jacobian's); 3 coupling; 2 rate
     assert len(arrays) == 2 + 3 * 6 + 6 + 7 + 2 + 2 + 3 + 2
     assert [a for a in arrays if a.flags.writeable] == []
     with pytest.raises(ValueError, match="read-only"):
@@ -203,7 +204,9 @@ def test_every_array_a_query_returns_is_read_only(variant):
     assert same(deflection_under_load(result, LOAD), deflection)
 
 
-@pytest.mark.parametrize("kind", [JacobianSet, StiffnessResult], ids=lambda kind: kind.__name__)
+@pytest.mark.parametrize(
+    "kind", [JacobianSet, StiffnessResult, Deflection], ids=lambda kind: kind.__name__
+)
 def test_copies_derive_the_same_values(built, kind):
     instance = built[kind]
     names = properties(kind)
@@ -215,7 +218,7 @@ def test_copies_derive_the_same_values(built, kind):
 
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
 def test_replace_derives_from_the_new_fields(variant):
-    _, _, jac, result, _ = one_query(default_params(variant))
+    _, _, jac, result, deflection = one_query(default_params(variant))
     G = 2.0 * jac.G
     U = jac.twist_basis[:, [3, 4, 5, 0, 1, 2]]  # feasible twists first
     moved = dataclasses.replace(jac, G=G, twist_basis=U)
@@ -232,6 +235,13 @@ def test_replace_derives_from_the_new_fields(variant):
     assert moved.limb_stiffness == tuple(
         LimbStiffness(k_a, k_c) for k_a, k_c in zip(rates[:3].tolist(), rates[3:].tolist())
     )
+
+    assert deflection.G is result.jacobian.G  # kept, not copied
+    platform = 2.0 * deflection.platform
+    moved = dataclasses.replace(deflection, platform=platform)
+    assert same(moved.joints, deflection.G.T @ platform)
+    with pytest.raises(TypeError):
+        dataclasses.replace(deflection, joints=deflection.joints)
 
 
 def retained_bytes_per_query(params, n: int) -> float:
@@ -260,6 +270,7 @@ def retained_bytes_per_query(params, n: int) -> float:
 
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
 def test_a_kept_query_holds_no_derived_copies(variant):
-    # about 2.81 kB a triple, with its tuple and list slot; storing Ga, Gc,
-    # feasible_basis, P, the six diagonals and the limb stiffness took 3.95 kB
-    assert retained_bytes_per_query(default_params(variant), 200) <= 3300
+    # about 2.65 kB a triple, with its tuple and list slot; storing Ga, Gc,
+    # feasible_basis, P, the six diagonals and the limb stiffness took
+    # 3.95 kB, and storing the deflection's joints 2.81 kB
+    assert retained_bytes_per_query(default_params(variant), 200) <= 2750
