@@ -8,12 +8,10 @@ re-emits byte-identically.
 """
 from __future__ import annotations
 
-import contextlib
 import csv
 import itertools
 import math
 import operator
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,20 +78,6 @@ def tilt_axes(n: int, max_deg: float) -> tuple[np.ndarray, np.ndarray]:
     return axis, axis.copy()
 
 
-def open_new(path, binary: bool = False):
-    """Open path for writing as a new file, UTF-8 text with "\n" line ends
-    unless binary.  A file already there is unlinked first, so a rerun
-    replaces each output rather than overwriting it in place: ext4 starts
-    writing a truncated and rewritten file back to disk as it is closed,
-    which cost tens of milliseconds a file, and a hard link to the old
-    file keeps its old bytes."""
-    with contextlib.suppress(FileNotFoundError):
-        os.unlink(path)
-    if binary:
-        return open(path, "wb")
-    return open(path, "w", encoding="utf-8", newline="\n")
-
-
 def write_map_csv(path, fields: dict[str, SweepGrid], units_note: str | None = None) -> None:
     """Emit named grid fields side by side, one row per (psi, theta) cell."""
     grids = list(fields.values())
@@ -116,7 +100,7 @@ def write_map_csv(path, fields: dict[str, SweepGrid], units_note: str | None = N
     for gaps, grid in zip(missing, grids):
         for i, j in np.argwhere(~grid.mask).tolist():
             gaps[i].append(j)
-    with open_new(path) as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if units_note:
             fh.write(f"# {units_note}\n")
         # the writer quotes field names as needed; numbers and empty fields need no quotes

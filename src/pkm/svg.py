@@ -12,7 +12,7 @@ import operator
 
 import numpy as np
 
-from .grids import SweepGrid, fmt12, open_new
+from .grids import SweepGrid, fmt12
 
 _PALETTES = {
     "viridis": [
@@ -195,7 +195,7 @@ def emit_heatmap_svg(
     ]
     # each colour's fill and line end, built once per colour
     tails = {-1: 'url(#miss)"/>\n'}
-    with open_new(path) as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"{line}\n" for line in out[:cells_at])
         for i in range(n_psi):
             row = codes[i].tolist()

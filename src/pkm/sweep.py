@@ -17,7 +17,7 @@ import numpy as np
 from .config import SweepSettings
 from .errors import ConfigError
 from .geometry import MechanismParams, home_height
-from .grids import SweepGrid, check_axes, fmt12, open_new, tilt_axes, write_map_csv
+from .grids import SweepGrid, check_axes, fmt12, tilt_axes, write_map_csv
 from .kernel import RECORD, evaluate_grid
 from .stiffness import STIFFNESS_FIELDS, _stiffness_table
 from .svg import emit_heatmap_svg
@@ -259,7 +259,7 @@ def run_comparison(settings: CompareSettings) -> ComparisonReport:
         metrics=metrics,
         flags=_verdict_flags(tables, areas),
     )
-    with open_new(out_dir / "report.txt") as fh:
+    with open(out_dir / "report.txt", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report.as_text())
     return report
 
@@ -279,10 +279,7 @@ def _write_machine(out_dir, label, table, heave_offsets) -> None:
     # _parasitic.csv is the rotational CSV's rows under their own comment line,
     # copied: formatting its 8 columns again would cost a third of the CSV values
     stem = out_dir / f"{label}_stiffness"
-    with (
-        open(f"{stem}_rotational.csv", "rb") as src,
-        open_new(f"{stem}_parasitic.csv", binary=True) as dst,
-    ):
+    with open(f"{stem}_rotational.csv", "rb") as src, open(f"{stem}_parasitic.csv", "wb") as dst:
         src.readline()
         dst.write(f"# {_UNITS_NOTE}; rows keyed by (x_par_mm, y_par_mm)\n".encode())
         shutil.copyfileobj(src, dst)

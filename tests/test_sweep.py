@@ -316,26 +316,6 @@ def test_comparison_reruns_byte_identical(tmp_path):
     _assert_same_bundle(first, second)
 
 
-def test_a_rerun_replaces_each_output(tmp_path):
-    # a rerun into the same directory makes new files: a hard link to a
-    # first-run output keeps its old bytes, and the outputs are a fresh run's
-    out, _ = _run(tmp_path, "out")
-    links = tmp_path / "links"
-    links.mkdir()
-    old = {}
-    for path in out.iterdir():
-        os.link(path, links / path.name)
-        old[path.name] = path.read_bytes()
-    narrower = SweepSettings(grid_n=SMALL.grid_n, tilt_max_deg=30.0)
-    _run(tmp_path, "out", sweep=narrower)
-    for name, data in old.items():
-        assert (links / name).read_bytes() == data, name
-        assert os.stat(links / name).st_nlink == 1, name
-        assert (out / name).read_bytes() != data, name
-    fresh, _ = _run(tmp_path, "fresh", sweep=narrower)
-    _assert_same_bundle(out, fresh)
-
-
 def test_comparison_worker_count_does_not_change_bytes(tmp_path):
     one, _ = _run(tmp_path, "one", workers=1)
     two, _ = _run(tmp_path, "two", workers=2)
